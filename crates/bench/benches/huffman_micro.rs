@@ -191,12 +191,15 @@ fn main() {
         // Step 0 predicts from the first block so the small input still
         // exercises the full speculation lifecycle.
         cfg.schedule = tvs_core::SpeculationSchedule::with_step(0);
-        let (_, log) = tvs_pipelines::runner::run_huffman_sim_events(
-            &data,
-            &cfg,
-            &tvs_sre::x86_smp(8),
-            &tvs_iosim::Disk::default(),
-        );
+        let tracer = tvs_sre::Tracer::enabled(8);
+        let sim = tvs_sre::exec::sim::SimConfig {
+            tracer: tracer.clone(),
+            ..tvs_sre::exec::sim::SimConfig::new(tvs_sre::x86_smp(8), cfg.policy)
+        };
+        let disk = tvs_iosim::Disk::default();
+        let spec = tvs_pipelines::runner::RunSpec::sim(sim, &disk);
+        tvs_pipelines::runner::run_huffman(&data, &cfg, &spec).expect("traced run completes");
+        let log = tracer.drain().expect("enabled tracer drains");
         let (json, csv) = tvs_bench::write_trace(&log, &results_dir(), "huffman_micro_trace")
             .expect("write trace files");
         println!("traced run -> {}", json.display());

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use tvs_bench::microbench::{bench, bench_with, black_box, write_csv, Opts};
 use tvs_bench::results_dir;
 use tvs_core::{ReplicatingWorkload, ValidationMode};
-use tvs_sre::exec::sim::{run as sim_run, SimConfig};
+use tvs_sre::exec::sim::{try_run as sim_run, SimConfig};
 use tvs_sre::exec::threaded::ThreadedConfig;
 use tvs_sre::exec::{baseline, threaded};
 use tvs_sre::task::{payload, TaskSpec};
@@ -102,11 +102,7 @@ fn bench_sim_executor(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
                 data: vec![0u8; 16].into(),
             })
             .collect();
-        let cfg = SimConfig {
-            platform: x86_smp(16),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
+        let cfg = SimConfig::new(x86_smp(16), DispatchPolicy::NonSpeculative);
         rows.push(bench_with(
             &format!("sim_executor/tasks/{n_tasks}"),
             Opts::heavy(),
@@ -120,7 +116,8 @@ fn bench_sim_executor(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
                     &cfg,
                     &FixedCost(50),
                     inputs.clone(),
-                );
+                )
+                .expect("simulated run completes");
                 black_box(rep.metrics.makespan)
             },
         ));
@@ -171,7 +168,7 @@ fn unit_digest(_name: &'static str, out: &dyn std::any::Any) -> Option<u64> {
 
 /// Median wall-clock seconds over `reps` full runs of `n` tasks.
 fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -> f64 {
-    let cfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
+    let plain = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
             let inputs: Vec<(usize, Arc<[u8]>)> =
@@ -184,7 +181,7 @@ fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -
                     Arc::new(unit_digest),
                 );
                 let t = Instant::now();
-                let (w, m) = threaded::run(wl, &cfg, inputs);
+                let (w, m) = threaded::try_run(wl, &plain, inputs).expect("run completes");
                 let el = t.elapsed().as_secs_f64();
                 assert_eq!(w.inner().seen, n);
                 assert_eq!(m.replica_dispatches as usize, n);
@@ -196,28 +193,28 @@ fn run_once(exec: Exec, workers: usize, n: usize, spin: Duration, reps: usize) -
                 Exec::WorkStealingTraced => Tracer::enabled(workers),
                 _ => Tracer::disabled(),
             };
+            let hub = match exec {
+                Exec::WorkStealingMetered => MetricsHub::enabled(workers),
+                _ => MetricsHub::disabled(),
+            };
+            let cfg = ThreadedConfig {
+                tracer: tracer.clone(),
+                hub,
+                ..plain.clone()
+            };
+            let wl = PerBlock { n, seen: 0, spin };
             let t = Instant::now();
             let (w, m) = match exec {
-                Exec::WorkStealing => threaded::run(PerBlock { n, seen: 0, spin }, &cfg, inputs),
-                Exec::WorkStealingTraced => threaded::run_traced(
-                    PerBlock { n, seen: 0, spin },
-                    &cfg,
-                    inputs,
-                    tracer.clone(),
-                ),
-                Exec::WorkStealingMetered => threaded::run_metered(
-                    PerBlock { n, seen: 0, spin },
-                    &cfg,
-                    inputs,
-                    tracer.clone(),
-                    MetricsHub::enabled(workers),
-                ),
-                Exec::Baseline => baseline::run(PerBlock { n, seen: 0, spin }, &cfg, inputs),
+                Exec::WorkStealing | Exec::WorkStealingTraced | Exec::WorkStealingMetered => {
+                    threaded::try_run(wl, &cfg, inputs)
+                }
+                Exec::Baseline => baseline::try_run(wl, &cfg, inputs),
                 Exec::WorkStealingReplicated => unreachable!("handled above"),
                 Exec::HuffmanPlain | Exec::HuffmanCheckpointed => {
                     unreachable!("huffman cells are timed in bench_checkpoint_overhead")
                 }
-            };
+            }
+            .expect("run completes");
             let el = t.elapsed().as_secs_f64();
             drop(tracer.drain());
             assert_eq!(w.seen, n);
@@ -398,7 +395,7 @@ fn bench_checkpoint_overhead(cells: &mut Vec<Cell>) {
     use tvs_core::CheckpointConfig;
     use tvs_iosim::Uniform;
     use tvs_pipelines::config::HuffmanConfig;
-    use tvs_pipelines::runner::{run_huffman_threaded, run_huffman_threaded_checkpointed};
+    use tvs_pipelines::runner::{run_huffman, RunSpec};
     const REPS: usize = 5;
     let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
     cfg.block_bytes = 1024;
@@ -419,17 +416,16 @@ fn bench_checkpoint_overhead(cells: &mut Vec<Cell>) {
     {
         let mut secs: Vec<f64> = (0..REPS)
             .map(|_| {
-                let t = Instant::now();
+                let mut c = cfg.clone();
                 if exec == Exec::HuffmanCheckpointed {
-                    let mut c = cfg.clone();
                     c.checkpoint = Some(CheckpointConfig::at_default_cadence(&dir));
-                    let out = run_huffman_threaded_checkpointed(&data, &c, 4, &arrival, 1000)
-                        .into_outcome();
-                    assert_eq!(out.result.blocks.len(), n);
-                } else {
-                    let out = run_huffman_threaded(&data, &cfg, 4, &arrival, 1000);
-                    assert_eq!(out.result.blocks.len(), n);
                 }
+                let spec = RunSpec::threaded(ThreadedConfig::new(4, c.policy), &arrival, 1000);
+                let t = Instant::now();
+                let out = run_huffman(&data, &c, &spec)
+                    .expect("threaded run completes")
+                    .into_outcome();
+                assert_eq!(out.result.blocks.len(), n);
                 t.elapsed().as_secs_f64()
             })
             .collect();

@@ -13,12 +13,13 @@
 //!
 //! Run with: `cargo run -p tvs-bench --release --bin ablations`
 
+use tvs_bench::figures::simulate;
 use tvs_iosim::Disk;
 use tvs_pipelines::config::{HuffmanConfig, PredictorKind};
 use tvs_pipelines::cost::HuffmanCost;
 use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_pipelines::runner::{run_huffman_sim, schedule_blocks};
-use tvs_sre::exec::sim::{run as sim_run, SimConfig};
+use tvs_pipelines::runner::schedule_blocks;
+use tvs_sre::exec::sim::{try_run, SimConfig};
 use tvs_sre::{cell_be, x86_smp, CostModel, DispatchPolicy, Time};
 use tvs_workloads::FileKind;
 
@@ -47,7 +48,7 @@ fn ablation_parity_metric() {
         let data = tvs_workloads::generate_paper_sized(kind, 2011);
         for policy in [DispatchPolicy::Balanced, DispatchPolicy::BalancedTaskCount] {
             let cfg = HuffmanConfig::disk_x86(policy);
-            let out = run_huffman_sim(&data, &cfg, &x86, &Disk::default());
+            let out = simulate(&data, &cfg, &x86, &Disk::default());
             row(&format!("{} {}", kind.label(), policy.label()), &out);
         }
     }
@@ -63,7 +64,7 @@ fn ablation_prefetch_depth() {
             let mut platform = cell_be(16);
             platform.prefetch_depth = depth;
             let cfg = HuffmanConfig::disk_cell(policy);
-            let out = run_huffman_sim(&data, &cfg, &platform, &Disk::default());
+            let out = simulate(&data, &cfg, &platform, &Disk::default());
             row(&format!("depth {depth} {}", policy.label()), &out);
         }
     }
@@ -94,12 +95,9 @@ fn ablation_check_cost() {
         cfg.schedule = tvs_core::SpeculationSchedule::with_step(1);
         let (blocks, times) = schedule_blocks(&data, cfg.block_bytes, &Disk::default());
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let sim = SimConfig {
-            platform: platform.clone(),
-            policy: cfg.policy,
-            trace: false,
-        };
-        let rep = sim_run(wl, &sim, &ScaledCheckCost(scale), blocks);
+        let sim = SimConfig::new(platform.clone(), cfg.policy);
+        let rep =
+            try_run(wl, &sim, &ScaledCheckCost(scale), blocks).expect("simulated run completes");
         let out = tvs_pipelines::RunOutcome {
             result: rep.workload.result(),
             metrics: rep.metrics,
@@ -136,7 +134,7 @@ fn ablation_predictor_kind() {
             cfg.predictor = kind;
             cfg.schedule = tvs_core::SpeculationSchedule::with_step(0);
             cfg.verification = tvs_core::VerificationPolicy::Full;
-            let out = run_huffman_sim(&data, &cfg, &platform, &Disk::default());
+            let out = simulate(&data, &cfg, &platform, &Disk::default());
             row(&format!("{kind_label} {kind:?}"), &out);
         }
     }

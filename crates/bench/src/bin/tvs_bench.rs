@@ -178,7 +178,8 @@ fn threaded_short_row() -> Row {
                 .map(|i| (i, std::sync::Arc::from(vec![0u8; TASK_BYTES])))
                 .collect();
             let t = Instant::now();
-            let (w, m) = threaded::run(PerBlock { n: N, seen: 0 }, &cfg, inputs);
+            let (w, m) = threaded::try_run(PerBlock { n: N, seen: 0 }, &cfg, inputs)
+                .expect("threaded run completes");
             let el = t.elapsed().as_nanos() as f64;
             assert_eq!(w.seen, N);
             assert_eq!(m.tasks_delivered as usize, N);
@@ -225,7 +226,7 @@ fn threaded_short_replicated_row() -> Row {
                 std::sync::Arc::new(digest),
             );
             let t = Instant::now();
-            let (w, m) = threaded::run(wl, &cfg, inputs);
+            let (w, m) = threaded::try_run(wl, &cfg, inputs).expect("threaded run completes");
             let el = t.elapsed().as_nanos() as f64;
             assert_eq!(w.inner().seen, N);
             assert_eq!(m.replica_dispatches as usize, N);

@@ -6,7 +6,7 @@
 //! both the deterministic simulator and the real thread pool. Each run
 //! must hold the **chaos invariant**: it either completes with output
 //! that decodes byte-identically to the input (the fault-free result) or
-//! fails with a structured [`RunError`] — never a process crash, never
+//! fails with a structured error — never a process crash, never
 //! silently wrong bytes. Simulated runs must additionally reproduce
 //! exactly when re-run with the same seed.
 //!
@@ -28,15 +28,10 @@ use tvs_huffman::{decode_exact, CodeTable};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::postmortem;
-use tvs_pipelines::runner::{
-    resume_huffman_sim, resume_huffman_threaded, run_huffman_sim, run_huffman_sim_chaos,
-    run_huffman_sim_checkpointed, run_huffman_sim_events, run_huffman_sim_sdc,
-    run_huffman_threaded_chaos, run_huffman_threaded_checkpointed, run_huffman_threaded_events,
-    run_huffman_threaded_sdc, CheckpointedRun, RunOutcome,
-};
-use tvs_sre::exec::sim::SimChaos;
+use tvs_pipelines::runner::{run_huffman, HuffmanRunError, RunEnd, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, RunError, TraceLog};
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, TraceLog, Tracer};
 use tvs_workloads::FileKind;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
@@ -82,6 +77,48 @@ fn dump_bundle(dir: &std::path::Path, seed: u64, log: &TraceLog) -> u32 {
     }
 }
 
+/// The gauntlet's two executors: `"sim"` is 8 simulated workers,
+/// `"threaded"` is `WORKERS` real threads with arrivals compressed 1000×.
+/// Every run records its events into the returned tracer, so a structured
+/// failure under an armed fault plan also dumps a post-mortem bundle.
+fn exec_spec<'a>(
+    exec: &str,
+    policy: DispatchPolicy,
+    arrival: &'a Uniform,
+    faults: FaultInjector,
+) -> (RunSpec<'a>, Tracer) {
+    if exec == "sim" {
+        let tracer = Tracer::enabled(8);
+        let sim = SimConfig {
+            tracer: tracer.clone(),
+            faults,
+            ..SimConfig::new(x86_smp(8), policy)
+        };
+        (RunSpec::sim(sim, arrival), tracer)
+    } else {
+        let tracer = Tracer::enabled(WORKERS);
+        let tcfg = ThreadedConfig {
+            tracer: tracer.clone(),
+            faults,
+            ..ThreadedConfig::new(WORKERS, policy)
+        };
+        (RunSpec::threaded(tcfg, arrival, 1000), tracer)
+    }
+}
+
+/// One run of `c` on `exec` with `faults` armed: the outcome, or a
+/// structured error.
+fn run_on(
+    exec: &str,
+    data: &[u8],
+    c: &HuffmanConfig,
+    arrival: &Uniform,
+    faults: FaultInjector,
+) -> Result<RunOutcome, HuffmanRunError> {
+    let (spec, _) = exec_spec(exec, c.policy, arrival, faults);
+    run_huffman(data, c, &spec).map(|r| r.into_outcome())
+}
+
 fn cfg() -> HuffmanConfig {
     HuffmanConfig {
         collect_output: true,
@@ -92,11 +129,11 @@ fn cfg() -> HuffmanConfig {
 /// The chaos invariant for one completed-or-failed run. Returns a short
 /// status cell for the table, or `Err(reason)` on a violation.
 fn check_invariant(
-    res: Result<(RunOutcome, TraceLog), RunError>,
+    res: Result<RunOutcome, HuffmanRunError>,
     data: &[u8],
 ) -> Result<String, String> {
     match res {
-        Ok((out, log)) => {
+        Ok(out) => {
             let Some((bytes, bits, lengths)) = out.result.output.as_ref() else {
                 return Err("run completed without collected output".into());
             };
@@ -104,8 +141,7 @@ fn check_invariant(
             match decode_exact(bytes, 0, *bits, data.len(), &table) {
                 Ok(back) if back == data => Ok(format!(
                     "ok ({} faults, {} rollbacks)",
-                    out.metrics.faults,
-                    log.health().rollbacks
+                    out.metrics.faults, out.metrics.rollbacks
                 )),
                 Ok(_) => Err("output decodes to WRONG bytes".into()),
                 Err(e) => Err(format!("output does not decode: {e}")),
@@ -159,16 +195,18 @@ fn main() {
     for seed in SEEDS {
         // A fresh injector per run: draw counters are run state, and the
         // determinism check below depends on starting from zero.
-        let sim_run = |seed: u64| {
-            let chaos = SimChaos {
-                faults: FaultInjector::new(FaultPlan::chaos(seed)),
-                ..SimChaos::default()
-            };
-            run_huffman_sim_chaos(&data, &c, &x86_smp(8), &arrival, &chaos)
+        let chaos = |exec: &str| {
+            run_on(
+                exec,
+                &data,
+                &c,
+                &arrival,
+                FaultInjector::new(FaultPlan::chaos(seed)),
+            )
         };
-        let first = sim_run(seed);
-        let repeat_differs = match (&first, &sim_run(seed)) {
-            (Ok((a, _)), Ok((b, _))) => a.metrics != b.metrics,
+        let first = chaos("sim");
+        let repeat_differs = match (&first, &chaos("sim")) {
+            (Ok(a), Ok(b)) => a.metrics != b.metrics,
             (Err(a), Err(b)) => a != b,
             _ => true,
         };
@@ -184,10 +222,7 @@ fn main() {
             }
         };
 
-        let mut tcfg = ThreadedConfig::new(WORKERS, c.policy);
-        tcfg.faults = FaultInjector::new(FaultPlan::chaos(seed));
-        let thr = run_huffman_threaded_chaos(&data, &c, &tcfg, &arrival, 1000);
-        let thr_cell = match check_invariant(thr, &data) {
+        let thr_cell = match check_invariant(chaos("threaded"), &data) {
             Ok(s) => s,
             Err(e) => {
                 violations += 1;
@@ -229,27 +264,18 @@ fn main() {
             sdc_cfg.validation = mode;
             for exec in ["sim", "threaded"] {
                 let faults = FaultInjector::new(FaultPlan::sdc(seed));
-                let (out, stats) = if exec == "sim" {
-                    run_huffman_sim_sdc(&sdc_data, &sdc_cfg, &x86_smp(8), &arrival, faults.clone())
-                } else {
-                    match run_huffman_threaded_sdc(
-                        &sdc_data,
-                        &sdc_cfg,
-                        WORKERS,
-                        &arrival,
-                        1000,
-                        faults.clone(),
-                    ) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            violations += 1;
-                            println!("{seed:<6} {exec:<10} {mode_label:<10} VIOLATION: {e}");
-                            continue;
-                        }
+                let (spec, _) = exec_spec(exec, sdc_cfg.policy, &arrival, faults.clone());
+                let run = match run_huffman(&sdc_data, &sdc_cfg, &spec) {
+                    Ok(r) => r,
+                    Err(e) => {
+                        violations += 1;
+                        println!("{seed:<6} {exec:<10} {mode_label:<10} VIOLATION: {e}");
+                        continue;
                     }
                 };
+                let detected = run.replicas.sdc_detected;
+                let out = run.into_outcome();
                 let injected = faults.injected_at(FaultSite::TaskOutput);
-                let detected = stats.sdc_detected;
                 let decoded = decode_exactly(&out, &sdc_data);
                 let ok = decoded.is_ok() && (injected == 0 || detected >= 1);
                 recall_lines.push_str(&format!(
@@ -303,7 +329,8 @@ fn main() {
     for seed in SEEDS {
         let rd = tvs_workloads::generate(FileKind::Text, 64 * 1024, seed);
         let n_blocks = resume_cfg.n_blocks(rd.len());
-        let base = run_huffman_sim(&rd, &resume_cfg, &x86_smp(8), &arrival);
+        let base = run_on("sim", &rd, &resume_cfg, &arrival, FaultInjector::disabled())
+            .expect("fault-free run completes");
         let base_out = base.result.output.as_ref().expect("output collected");
         for kill_at in KILL_POINTS {
             for exec in ["sim", "threaded"] {
@@ -317,18 +344,20 @@ fn main() {
                     dir: dir.clone(),
                     halt_at_block: Some(kill_at),
                 });
-                let halted = if exec == "sim" {
-                    run_huffman_sim_checkpointed(&rd, &kc, &x86_smp(8), &arrival)
-                } else {
-                    run_huffman_threaded_checkpointed(&rd, &kc, WORKERS, &arrival, 1000)
-                };
+                let (spec, _) = exec_spec(exec, kc.policy, &arrival, FaultInjector::disabled());
+                let halted = run_huffman(&rd, &kc, &spec).map(|r| r.end);
                 let snap = match halted {
-                    CheckpointedRun::Halted(s) => *s,
-                    CheckpointedRun::Completed(_) => {
+                    Ok(RunEnd::Halted(s)) => *s,
+                    Ok(RunEnd::Completed(_)) => {
                         violations += 1;
                         println!(
                             "{seed:<6} {kill_at:<8} {exec:<10} VIOLATION: completed, never halted"
                         );
+                        continue;
+                    }
+                    Err(e) => {
+                        violations += 1;
+                        println!("{seed:<6} {kill_at:<8} {exec:<10} VIOLATION: {e}");
                         continue;
                     }
                 };
@@ -345,11 +374,11 @@ fn main() {
                         }
                     }
                 }
-                let resumed = if exec == "sim" {
-                    resume_huffman_sim(&snap, &rd, &resume_cfg, &x86_smp(8), &arrival)
-                } else {
-                    resume_huffman_threaded(&snap, &rd, &resume_cfg, WORKERS, &arrival, 1000)
+                let resume = RunSpec {
+                    resume: Some(&snap),
+                    ..spec
                 };
+                let resumed = run_huffman(&rd, &resume_cfg, &resume).map(|r| r.into_outcome());
                 let prefix = snap.prefix as usize;
                 let replayed = n_blocks - prefix;
                 let cell = match resumed {
@@ -364,7 +393,7 @@ fn main() {
                     }
                     Err(e) => {
                         violations += 1;
-                        format!("VIOLATION: resume rejected: {e}")
+                        format!("VIOLATION: resume failed: {e}")
                     }
                 };
                 let identical = !cell.starts_with("VIOLATION");
@@ -408,9 +437,11 @@ fn main() {
         gap_us: 100,
         start_us: 0,
     };
-    let (out, log) = run_huffman_sim_events(&adversarial, &bc, &x86_smp(8), &slow);
+    let (spec_sim, tracer) = exec_spec("sim", bc.policy, &slow, FaultInjector::disabled());
+    let out = run_huffman(&adversarial, &bc, &spec_sim).map(|r| r.into_outcome());
+    let log = tracer.drain().expect("enabled tracer drains");
     let trips = log.count("breaker-trip");
-    let decoded = check_invariant(Ok((out, log.clone())), &adversarial);
+    let decoded = check_invariant(out, &adversarial);
     println!(
         "breaker: {trips} trip(s), {} probe(s), {} recover(s) — {}",
         log.count("breaker-probe"),
@@ -446,7 +477,9 @@ fn main() {
         cooldown: 1_000,
         probe_successes: 1,
     });
-    let (_, tlog) = run_huffman_threaded_events(&adversarial, &tbc, WORKERS, &slow, 1000);
+    let (spec_thr, tracer) = exec_spec("threaded", tbc.policy, &slow, FaultInjector::disabled());
+    run_huffman(&adversarial, &tbc, &spec_thr).expect("threaded breaker run completes");
+    let tlog = tracer.drain().expect("enabled tracer drains");
     println!(
         "threaded breaker: {} trip(s), {} rollback(s)",
         tlog.count("breaker-trip"),

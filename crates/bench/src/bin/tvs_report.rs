@@ -21,12 +21,13 @@
 
 use tvs_bench::{results_dir, write_trace};
 use tvs_core::{AllocStats, BreakerConfig, SpeculationSchedule, Tolerance, VerificationPolicy};
+use tvs_iosim::ArrivalModel;
 use tvs_iosim::{Disk, Uniform};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::postmortem;
-use tvs_pipelines::runner::{run_huffman_sim_chaos, run_huffman_sim_events};
-use tvs_sre::exec::sim::SimChaos;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan};
+use tvs_pipelines::runner::{run_huffman, HuffmanRunError, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, Tracer};
 use tvs_trace::TraceLog;
 use tvs_workloads::FileKind;
 
@@ -248,6 +249,24 @@ fn resume_audit_mode(path: &str) -> ! {
     std::process::exit(0);
 }
 
+/// A run of `cfg` on `WORKERS` simulated workers with `faults` armed,
+/// and its event log.
+fn sim_events(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    arrival: &dyn ArrivalModel,
+    faults: FaultInjector,
+) -> Result<(RunOutcome, TraceLog), HuffmanRunError> {
+    let tracer = Tracer::enabled(WORKERS);
+    let sim = SimConfig {
+        tracer: tracer.clone(),
+        faults,
+        ..SimConfig::new(x86_smp(WORKERS), cfg.policy)
+    };
+    let out = run_huffman(data, cfg, &RunSpec::sim(sim, arrival))?.into_outcome();
+    Ok((out, tracer.drain().expect("enabled tracer drains")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--postmortem") {
@@ -274,7 +293,6 @@ fn main() {
     // the all-commits text phase.
     let mut data = tvs_workloads::generate(FileKind::Text, BYTES / 2, 2011);
     data.extend(tvs_workloads::generate(FileKind::Pdf, BYTES / 2, 2011));
-    let platform = x86_smp(WORKERS);
     println!(
         "== tvs-report: huffman sim, text+pdf {} KiB, {WORKERS} workers, disk arrivals ==",
         BYTES / 1024
@@ -290,7 +308,8 @@ fn main() {
         // Step 0 predicts from the very first block, so even this small
         // input exercises the full speculation lifecycle.
         cfg.schedule = SpeculationSchedule::with_step(0);
-        let (out, log) = run_huffman_sim_events(&data, &cfg, &platform, &Disk::default());
+        let (out, log) = sim_events(&data, &cfg, &Disk::default(), FaultInjector::disabled())
+            .expect("fault-free run completes");
         violations += print_policy(
             policy,
             &log,
@@ -327,11 +346,8 @@ fn main() {
     println!("\n== chaos: aggressive under FaultPlan::chaos(2011) ==");
     let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Aggressive);
     cfg.schedule = SpeculationSchedule::with_step(0);
-    let chaos = SimChaos {
-        faults: FaultInjector::new(FaultPlan::chaos(2011)),
-        ..SimChaos::default()
-    };
-    match run_huffman_sim_chaos(&data, &cfg, &platform, &Disk::default(), &chaos) {
+    let chaos = FaultInjector::new(FaultPlan::chaos(2011));
+    match sim_events(&data, &cfg, &Disk::default(), chaos) {
         Ok((out, log)) => {
             violations += print_policy(
                 DispatchPolicy::Aggressive,
@@ -359,7 +375,8 @@ fn main() {
         gap_us: 100,
         start_us: 0,
     };
-    let (out, log) = run_huffman_sim_events(&drifting, &bc, &platform, &slow);
+    let (out, log) = sim_events(&drifting, &bc, &slow, FaultInjector::disabled())
+        .expect("fault-free run completes");
     violations += print_policy(
         DispatchPolicy::Aggressive,
         &log,

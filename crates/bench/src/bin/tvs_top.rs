@@ -30,7 +30,9 @@ use std::time::Duration;
 use tvs_iosim::Uniform;
 use tvs_metrics::{Counter, Gauge, Hist};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim_metered, run_huffman_threaded_metered};
+use tvs_pipelines::runner::{run_huffman, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
+use tvs_sre::exec::threaded::ThreadedConfig;
 use tvs_sre::{x86_smp, DispatchPolicy, MetricsHub, MetricsSnapshot, Sampler};
 use tvs_workloads::FileKind;
 
@@ -181,7 +183,13 @@ fn policy_table(data: &[u8]) {
             gap_us: 2,
             start_us: 0,
         };
-        let out = run_huffman_sim_metered(data, &cfg, &x86_smp(SIM_WORKERS), &arrival, hub.clone());
+        let sim = SimConfig {
+            hub: hub.clone(),
+            ..SimConfig::new(x86_smp(SIM_WORKERS), cfg.policy)
+        };
+        let out = run_huffman(data, &cfg, &RunSpec::sim(sim, &arrival))
+            .expect("simulated run completes")
+            .into_outcome();
         let snaps = hub.drain_virtual_snapshots();
         let last = snaps.last().cloned().or_else(|| hub.snapshot());
         let Some(s) = last else { continue };
@@ -274,7 +282,13 @@ fn live(opts: &Options) {
             gap_us: 10_000,
             start_us: 0,
         };
-        run_huffman_threaded_metered(&data, &cfg, WORKERS, &arrival, 1, run_hub)
+        let tcfg = ThreadedConfig {
+            hub: run_hub,
+            ..ThreadedConfig::new(WORKERS, cfg.policy)
+        };
+        run_huffman(&data, &cfg, &RunSpec::threaded(tcfg, &arrival, 1))
+            .expect("threaded run completes")
+            .into_outcome()
     });
 
     let mut recorder = opts.record.as_ref().map(|p| {

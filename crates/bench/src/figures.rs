@@ -5,10 +5,11 @@
 //! DESIGN.md; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
 
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
-use tvs_iosim::{Disk, Socket};
+use tvs_iosim::{ArrivalModel, Disk, Socket};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::report::{Figure, Series};
-use tvs_pipelines::runner::{run_huffman_sim, RunOutcome};
+use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
 use tvs_workloads::FileKind;
 
@@ -21,6 +22,19 @@ pub const WORKERS: usize = 16;
 /// Generate (and cache per call) the paper-sized input for `kind`.
 pub fn input_for(kind: FileKind) -> Vec<u8> {
     tvs_workloads::generate_paper_sized(kind, DATA_SEED)
+}
+
+/// One run of the Huffman pipeline on the simulator under `platform`.
+pub fn simulate(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    platform: &Platform,
+    arrival: &dyn ArrivalModel,
+) -> RunOutcome {
+    let spec = RunSpec::sim(SimConfig::new(platform.clone(), cfg.policy), arrival);
+    run_huffman(data, cfg, &spec)
+        .expect("simulated run completes")
+        .into_outcome()
 }
 
 /// The x86 evaluation platform.
@@ -83,7 +97,7 @@ fn policy_figures(
         let mut series = Vec::new();
         for (pi, policy) in DispatchPolicy::ALL.iter().enumerate() {
             let cfg = policy_cfg(base, *policy);
-            let out = run_huffman_sim(&data, &cfg, platform, &disk());
+            let out = simulate(&data, &cfg, platform, &disk());
             series.push(latency_series(policy.label(), &out));
             runtime_series[pi]
                 .points
@@ -129,7 +143,7 @@ pub fn fig5() -> Vec<Figure> {
             if policy == DispatchPolicy::NonSpeculative {
                 // One run; the baseline is flat across step sizes.
                 let cfg = HuffmanConfig::disk_x86(policy);
-                let out = run_huffman_sim(&data, &cfg, &platform, &disk());
+                let out = simulate(&data, &cfg, &platform, &disk());
                 for (i, _) in steps.iter().enumerate() {
                     pts.push((i as f64, out.mean_latency()));
                 }
@@ -137,7 +151,7 @@ pub fn fig5() -> Vec<Figure> {
                 for (i, &step) in steps.iter().enumerate() {
                     let mut cfg = HuffmanConfig::disk_x86(policy);
                     cfg.schedule = SpeculationSchedule::with_step(step);
-                    let out = run_huffman_sim(&data, &cfg, &platform, &disk());
+                    let out = simulate(&data, &cfg, &platform, &disk());
                     pts.push((i as f64, out.mean_latency()));
                 }
             }
@@ -196,7 +210,7 @@ pub fn fig6() -> Vec<Figure> {
                     c
                 }
             };
-            let out = run_huffman_sim(&data, &cfg, &platform, &disk());
+            let out = simulate(&data, &cfg, &platform, &disk());
             series.push(latency_series(label, &out));
             runtime_series[vi]
                 .points
@@ -231,7 +245,7 @@ pub fn fig7() -> Vec<Figure> {
     for (fi, kind) in [FileKind::Text, FileKind::Pdf].iter().enumerate() {
         let data = input_for(*kind);
         let cfg = HuffmanConfig::socket_x86(DispatchPolicy::Balanced);
-        let out = run_huffman_sim(&data, &cfg, &platform, &socket());
+        let out = simulate(&data, &cfg, &platform, &socket());
         let arrivals = Series::from_values("arrival_time", out.arrivals.iter().map(|&a| a as f64));
         figs.push(Figure {
             id: format!("fig7{}", [b'a', b'b'][fi] as char),
@@ -256,7 +270,7 @@ pub fn fig8() -> Vec<Figure> {
     cfg.schedule = SpeculationSchedule::with_step(1);
     let mut series = Vec::new();
     for workers in [2usize, 4, 8] {
-        let out = run_huffman_sim(&data, &cfg, &x86_smp(workers), &socket());
+        let out = simulate(&data, &cfg, &x86_smp(workers), &socket());
         series.push(latency_series(&format!("{workers} cpu"), &out));
     }
     vec![Figure {
@@ -281,7 +295,7 @@ pub fn fig9() -> Vec<Figure> {
             let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Aggressive);
             cfg.tolerance = Tolerance::percent(pct);
             cfg.schedule = SpeculationSchedule::with_step(2);
-            let out = run_huffman_sim(&data, &cfg, &platform, &disk());
+            let out = simulate(&data, &cfg, &platform, &disk());
             series.push(latency_series(&format!("{pct:.2}%"), &out));
         }
         figs.push(Figure {

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
 use tvs_sre::task::{payload, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{DispatchPolicy, MetricsHub, Sampler, Tracer};
+use tvs_sre::{DispatchPolicy, MetricsHub, Sampler};
 
 struct PerBlock {
     n: usize,
@@ -55,15 +55,18 @@ impl Workload for PerBlock {
 /// region — the budget covers in-run emission, not post-run scraping.
 fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
     const SPIN: Duration = Duration::from_micros(100);
-    let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
             let inputs: Vec<(usize, Arc<[u8]>)> =
                 (0..n).map(|i| (i, Arc::from(vec![0u8; 16]))).collect();
             let hub = if metered {
-                MetricsHub::enabled(cfg.workers)
+                MetricsHub::enabled(4)
             } else {
                 MetricsHub::disabled()
+            };
+            let cfg = ThreadedConfig {
+                hub: hub.clone(),
+                ..ThreadedConfig::new(4, DispatchPolicy::NonSpeculative)
             };
             let sampler = if metered {
                 Some(Sampler::spawn(
@@ -80,8 +83,7 @@ fn median_secs(n: usize, metered: bool, reps: usize) -> f64 {
                 spin: SPIN,
             };
             let t = Instant::now();
-            let (w, metrics) =
-                threaded::run_metered(wl, &cfg, inputs, Tracer::disabled(), hub.clone());
+            let (w, metrics) = threaded::try_run(wl, &cfg, inputs).expect("threaded run completes");
             let el = t.elapsed().as_secs_f64();
             if let Some(s) = sampler {
                 s.stop();

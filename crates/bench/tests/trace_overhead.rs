@@ -53,15 +53,18 @@ impl Workload for PerBlock {
 /// the budget covers emission, not post-run export.
 fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
     const SPIN: Duration = Duration::from_micros(100);
-    let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
     let mut secs: Vec<f64> = (0..reps)
         .map(|_| {
             let inputs: Vec<(usize, Arc<[u8]>)> =
                 (0..n).map(|i| (i, Arc::from(vec![0u8; 16]))).collect();
             let tracer = if traced {
-                Tracer::enabled(cfg.workers)
+                Tracer::enabled(4)
             } else {
                 Tracer::disabled()
+            };
+            let cfg = ThreadedConfig {
+                tracer: tracer.clone(),
+                ..ThreadedConfig::new(4, DispatchPolicy::NonSpeculative)
             };
             let wl = PerBlock {
                 n,
@@ -69,7 +72,7 @@ fn median_secs(n: usize, traced: bool, reps: usize) -> f64 {
                 spin: SPIN,
             };
             let t = Instant::now();
-            let (w, _) = threaded::run_traced(wl, &cfg, inputs, tracer.clone());
+            let (w, _) = threaded::try_run(wl, &cfg, inputs).expect("threaded run completes");
             let el = t.elapsed().as_secs_f64();
             if let Some(log) = tracer.drain() {
                 assert_eq!(log.count("task-end"), n, "every task left a span");

@@ -520,13 +520,9 @@ pub fn run_anneal_sim(
     arrival_gap_us: Time,
     workers: usize,
 ) -> (AnnealResult, tvs_sre::RunMetrics) {
-    use tvs_sre::exec::sim::{run, SimConfig};
+    use tvs_sre::exec::sim::{try_run, SimConfig};
     let wl = AnnealWorkload::new(cfg.clone(), n_blocks);
-    let sim = SimConfig {
-        platform: tvs_sre::x86_smp(workers),
-        policy: cfg.policy,
-        trace: false,
-    };
+    let sim = SimConfig::new(tvs_sre::x86_smp(workers), cfg.policy);
     let inputs: Vec<InputBlock> = (0..n_blocks)
         .map(|i| InputBlock {
             index: i,
@@ -534,7 +530,7 @@ pub fn run_anneal_sim(
             data: make_block(i),
         })
         .collect();
-    let rep = run(wl, &sim, &AnnealCost, inputs);
+    let rep = try_run(wl, &sim, &AnnealCost, inputs).expect("run completes");
     (rep.workload.result(), rep.metrics)
 }
 

@@ -451,8 +451,8 @@ impl HuffmanWorkload {
     }
 
     /// Route the speculation manager's lifecycle events (predictor fires,
-    /// version opens, check verdicts, commits) into `tracer`. Pass the same
-    /// tracer to the executor's `run_traced` so scheduler- and worker-side
+    /// version opens, check verdicts, commits) into `tracer`. Put the same
+    /// tracer in the executor's config so scheduler- and worker-side
     /// events land in the same log.
     pub fn set_tracer(&mut self, tracer: tvs_sre::Tracer) {
         self.mgr.set_tracer(tracer);
@@ -460,8 +460,8 @@ impl HuffmanWorkload {
 
     /// Route speculation-outcome counters (predictions, check verdicts,
     /// commits, breaker state) and the encode-pool allocation gauges into
-    /// `hub`. Pass the same hub to the executor's `run_metered` so worker-
-    /// and scheduler-side counters land in the same registry.
+    /// `hub`. Put the same hub in the executor's config so worker- and
+    /// scheduler-side counters land in the same registry.
     pub fn set_metrics(&mut self, hub: MetricsHub) {
         self.mgr.set_metrics(hub.clone());
         self.metrics = hub;
@@ -1279,7 +1279,7 @@ mod tests {
     use super::*;
     use crate::cost::HuffmanCost;
     use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolicy};
-    use tvs_sre::exec::sim::{run, SimConfig};
+    use tvs_sre::exec::sim::{try_run, SimConfig};
     use tvs_sre::{x86_smp, DispatchPolicy};
 
     fn blocks_of(data: &[u8], block: usize, gap: Time) -> Vec<InputBlock> {
@@ -1313,13 +1313,9 @@ mod tests {
 
     fn run_small(data: &[u8], cfg: HuffmanConfig) -> (PipelineResult, tvs_sre::RunMetrics) {
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let sim = SimConfig {
-            platform: x86_smp(4),
-            policy: cfg.policy,
-            trace: false,
-        };
+        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(data, cfg.block_bytes, 5);
-        let rep = run(wl, &sim, &HuffmanCost, inputs);
+        let rep = try_run(wl, &sim, &HuffmanCost, inputs).expect("run completes");
         (rep.workload.result(), rep.metrics)
     }
 
@@ -1453,13 +1449,9 @@ mod tests {
         // Slow arrivals: checks resolve while their version is active,
         // instead of going stale behind an early-finished reduce chain.
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
-        let sim = SimConfig {
-            platform: x86_smp(4),
-            policy: cfg.policy,
-            trace: false,
-        };
+        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 100);
-        let rep = run(wl, &sim, &HuffmanCost, inputs);
+        let rep = try_run(wl, &sim, &HuffmanCost, inputs).expect("run completes");
         let (res, m) = (rep.workload.result(), rep.metrics);
         assert!(m.rollbacks >= 2, "zero tolerance must roll back: {m:?}");
         let s = res.spec_stats.unwrap();
@@ -1492,13 +1484,9 @@ mod tests {
             FaultKind::CorruptValue,
             1.0,
         )));
-        let sim = SimConfig {
-            platform: x86_smp(4),
-            policy: cfg.policy,
-            trace: false,
-        };
+        let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 5);
-        let rep = run(wl, &sim, &HuffmanCost, inputs);
+        let rep = try_run(wl, &sim, &HuffmanCost, inputs).expect("run completes");
         let res = rep.workload.result();
         let s = res.spec_stats.unwrap();
         assert!(

@@ -511,13 +511,9 @@ pub fn run_kmeans_sim(
     arrival_gap_us: Time,
     workers: usize,
 ) -> (KMeansResult, tvs_sre::RunMetrics) {
-    use tvs_sre::exec::sim::{run, SimConfig};
+    use tvs_sre::exec::sim::{try_run, SimConfig};
     let wl = KMeansWorkload::new(cfg.clone(), n_blocks);
-    let sim = SimConfig {
-        platform: tvs_sre::x86_smp(workers),
-        policy: cfg.policy,
-        trace: false,
-    };
+    let sim = SimConfig::new(tvs_sre::x86_smp(workers), cfg.policy);
     let inputs: Vec<InputBlock> = (0..n_blocks)
         .map(|i| InputBlock {
             index: i,
@@ -525,7 +521,7 @@ pub fn run_kmeans_sim(
             data: make_block(i),
         })
         .collect();
-    let rep = run(wl, &sim, &KMeansCost, inputs);
+    let rep = try_run(wl, &sim, &KMeansCost, inputs).expect("run completes");
     (rep.workload.result(), rep.metrics)
 }
 

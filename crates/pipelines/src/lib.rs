@@ -21,30 +21,30 @@
 //!   incumbent placement is speculated on with a *semantic* tolerance
 //!   (objective values, not structures, are compared).
 //!
-//! [`runner`] wires workloads to the discrete-event or threaded executor
-//! with I/O arrival models and platform models; [`report`] renders the
+//! [`runner`] runs the Huffman pipeline on any of the three executors
+//! with an I/O arrival model ([`runner::run_huffman`]); [`report`] renders the
 //! series the paper's figures plot; [`postmortem`] dumps and reloads
 //! crash bundles (trace rings + lineage table + metrics snapshots) when
 //! a chaos run dies.
 //!
 //! ```
 //! use tvs_pipelines::config::HuffmanConfig;
-//! use tvs_pipelines::runner::run_huffman_sim;
+//! use tvs_pipelines::runner::{run_huffman, RunSpec};
+//! use tvs_sre::exec::sim::SimConfig;
 //! use tvs_sre::{x86_smp, DispatchPolicy};
 //!
 //! let data = tvs_workloads::generate(tvs_workloads::FileKind::Text, 256 * 1024, 7);
-//! let base = run_huffman_sim(
-//!     &data,
-//!     &HuffmanConfig::disk_x86(DispatchPolicy::NonSpeculative),
-//!     &x86_smp(16),
-//!     &tvs_iosim::Disk::default(),
-//! );
+//! let disk = tvs_iosim::Disk::default();
+//! let run = |cfg: &HuffmanConfig| {
+//!     let spec = RunSpec::sim(SimConfig::new(x86_smp(16), cfg.policy), &disk);
+//!     run_huffman(&data, cfg, &spec).expect("run completes").into_outcome()
+//! };
+//! let base = run(&HuffmanConfig::disk_x86(DispatchPolicy::NonSpeculative));
 //! // Speculate from the very first reduce outcome (the input is small, so
 //! // the paper's default step 8 would only trigger halfway through).
 //! let mut cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
 //! cfg.schedule = tvs_core::SpeculationSchedule::with_step(1);
-//! let spec = run_huffman_sim(&data, &cfg, &x86_smp(16), &tvs_iosim::Disk::default());
-//! assert!(spec.mean_latency() < base.mean_latency());
+//! assert!(run(&cfg).mean_latency() < base.mean_latency());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,8 +63,4 @@ pub mod runner;
 pub use config::HuffmanConfig;
 pub use cost::HuffmanCost;
 pub use huffman::{digest_output, HuffmanWorkload, PipelineResult, SpecTree};
-pub use runner::{
-    resume_huffman_sim, resume_huffman_threaded, run_huffman_sim, run_huffman_sim_checkpointed,
-    run_huffman_sim_sdc, run_huffman_threaded, run_huffman_threaded_checkpointed,
-    run_huffman_threaded_sdc, CheckpointedRun, RunOutcome,
-};
+pub use runner::{run_huffman, Executor, HuffmanRun, HuffmanRunError, RunEnd, RunOutcome, RunSpec};

@@ -1,36 +1,26 @@
-//! Run harness: data + config + platform + arrival model → results.
+//! Run harness: data + config + executor + arrival model → results.
+//!
+//! [`run_huffman`] is the one way to run the Huffman pipeline. The
+//! [`RunSpec`] names the executor (with its config, which carries the
+//! tracer, metrics hub and fault plan), the arrival model, and optionally
+//! a snapshot to resume from.
 
 use crate::config::HuffmanConfig;
 use crate::cost::HuffmanCost;
 use crate::huffman::{digest_output, HuffmanWorkload, PipelineResult};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tvs_core::checkpoint::fnv1a;
 use tvs_core::{ReplicaStats, ReplicatingWorkload, ResumeError, StreamSnapshot};
 use tvs_iosim::ArrivalModel;
-use tvs_sre::exec::sim::{
-    run as sim_run, run_traced as sim_run_traced, try_run_chaos,
-    try_run_metered as sim_try_run_metered, SimChaos, SimConfig,
-};
-use tvs_sre::exec::threaded::{
-    try_run_metered as threaded_try_run_metered, try_run_traced as threaded_try_run_traced,
-    ThreadedConfig,
-};
-use tvs_sre::{
-    FaultInjector, InputBlock, MetricsHub, Platform, RunError, RunMetrics, TaskTrace, TraceLog,
-    Tracer,
-};
+use tvs_sre::exec::baseline;
+use tvs_sre::exec::sim::{self, SimConfig};
+use tvs_sre::exec::threaded::{self, ThreadedConfig};
+use tvs_sre::{InputBlock, RunError, RunMetrics, TaskTrace};
 
 /// Seed of the replication plane's deterministic ordinary-task sampler.
 /// Fixed so two runs of the same configuration replicate the same tasks.
 const SDC_SEED: u64 = 0x5DC0_11A7;
-
-/// Wrap the pipeline workload in the replication validation plane per the
-/// configuration's [`tvs_core::ValidationMode`]. Under the default
-/// `Tolerance` mode the wrapper is a strict pass-through, so every
-/// existing entry point keeps its exact behaviour.
-fn wrap(wl: HuffmanWorkload, cfg: &HuffmanConfig) -> ReplicatingWorkload<HuffmanWorkload> {
-    ReplicatingWorkload::new(wl, cfg.validation, SDC_SEED, Arc::new(digest_output))
-}
 
 /// Everything a figure needs from one run.
 #[derive(Debug, Clone)]
@@ -82,594 +72,259 @@ pub fn schedule_blocks(
     (blocks, times)
 }
 
-/// Outcome of a checkpointed run: completion, or a halt at the configured
-/// block with the snapshot that resumes it.
+/// The executor a run uses, with its config.
 #[derive(Debug, Clone)]
-pub enum CheckpointedRun {
-    /// The run finished; the final snapshot (if any) is on disk.
+pub enum Executor {
+    /// The deterministic discrete-event simulator.
+    Sim(SimConfig),
+    /// The work-stealing thread pool.
+    Threaded(ThreadedConfig),
+    /// The single-lock thread pool.
+    Baseline(ThreadedConfig),
+}
+
+/// How [`run_huffman`] runs the pipeline.
+#[derive(Clone)]
+pub struct RunSpec<'a> {
+    /// Executor and its config. Its policy must equal the pipeline's
+    /// [`HuffmanConfig::policy`]; its tracer, hub and fault injector are
+    /// wired into the workload as well as the executor.
+    pub executor: Executor,
+    /// Block arrival model.
+    pub arrival: &'a dyn ArrivalModel,
+    /// The real-thread executors feed each block at its arrival time
+    /// divided by this factor, so slow-I/O scenarios finish quickly in
+    /// tests. The simulator runs in virtual time and ignores it.
+    pub time_scale: u64,
+    /// Resume a killed run from its committed-prefix snapshot: the snapshot
+    /// is checked against this input and configuration, only the blocks
+    /// past the prefix are fed, and the stream completes byte-identical to
+    /// an uninterrupted run, because every remaining block is encoded with
+    /// the snapshot's committed tree.
+    pub resume: Option<&'a StreamSnapshot>,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A fresh run on the simulator.
+    pub fn sim(cfg: SimConfig, arrival: &'a dyn ArrivalModel) -> Self {
+        Self::new(Executor::Sim(cfg), arrival, 1)
+    }
+
+    /// A fresh run on the work-stealing executor, arrivals compressed by
+    /// `time_scale`.
+    pub fn threaded(cfg: ThreadedConfig, arrival: &'a dyn ArrivalModel, time_scale: u64) -> Self {
+        Self::new(Executor::Threaded(cfg), arrival, time_scale)
+    }
+
+    /// A fresh run on the single-lock baseline executor, arrivals
+    /// compressed by `time_scale`.
+    pub fn baseline(cfg: ThreadedConfig, arrival: &'a dyn ArrivalModel, time_scale: u64) -> Self {
+        Self::new(Executor::Baseline(cfg), arrival, time_scale)
+    }
+
+    fn new(executor: Executor, arrival: &'a dyn ArrivalModel, time_scale: u64) -> Self {
+        RunSpec {
+            executor,
+            arrival,
+            time_scale,
+            resume: None,
+        }
+    }
+}
+
+/// How a run ended.
+#[derive(Debug, Clone)]
+pub enum RunEnd {
+    /// The run finished; the final snapshot (if checkpointing) is on disk.
     Completed(Box<RunOutcome>),
     /// The run stopped at [`tvs_core::CheckpointConfig::halt_at_block`];
-    /// feed this snapshot to [`resume_huffman_sim`] /
-    /// [`resume_huffman_threaded`] to finish the stream byte-identically.
+    /// pass this snapshot as [`RunSpec::resume`] to finish the stream.
     Halted(Box<StreamSnapshot>),
 }
 
-impl CheckpointedRun {
-    /// The halt snapshot, or a panic for completed runs (test helper).
-    pub fn into_snapshot(self) -> StreamSnapshot {
-        match self {
-            CheckpointedRun::Halted(s) => *s,
-            CheckpointedRun::Completed(_) => panic!("run completed instead of halting"),
-        }
-    }
+/// What [`run_huffman`] reports.
+#[derive(Debug, Clone)]
+pub struct HuffmanRun {
+    /// Completion, or the halt snapshot.
+    pub end: RunEnd,
+    /// Counters of the replication validation plane.
+    pub replicas: ReplicaStats,
+    /// Per-task trace: filled by the simulator when [`SimConfig::trace`]
+    /// is set, empty otherwise.
+    pub trace: Vec<TaskTrace>,
+}
 
-    /// The completed outcome, or a panic for halted runs (test helper).
+impl HuffmanRun {
+    /// The completed outcome; panics if the run halted.
     pub fn into_outcome(self) -> RunOutcome {
+        match self.end {
+            RunEnd::Completed(o) => *o,
+            RunEnd::Halted(_) => panic!("run halted instead of completing"),
+        }
+    }
+
+    /// The halt snapshot; panics if the run completed.
+    pub fn into_snapshot(self) -> StreamSnapshot {
+        match self.end {
+            RunEnd::Halted(s) => *s,
+            RunEnd::Completed(_) => panic!("run completed instead of halting"),
+        }
+    }
+}
+
+/// Why [`run_huffman`] returned no run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HuffmanRunError {
+    /// The executor could not complete the run (bounded retries could not
+    /// save a non-speculative task, or a runtime thread died).
+    Run(RunError),
+    /// The resume snapshot does not fit this input and configuration.
+    Resume(ResumeError),
+}
+
+impl std::fmt::Display for HuffmanRunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointedRun::Completed(o) => *o,
-            CheckpointedRun::Halted(_) => panic!("run halted instead of completing"),
+            HuffmanRunError::Run(e) => e.fmt(f),
+            HuffmanRunError::Resume(e) => e.fmt(f),
         }
     }
 }
 
-/// Run the Huffman pipeline on the simulator with the configuration's
-/// checkpoint plane armed (`cfg.checkpoint` must be `Some`): snapshots are
-/// bound to this input's digest, written at the configured cadence, and a
-/// `halt_at_block` stops the run at that committed prefix.
-pub fn run_huffman_sim_checkpointed(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-) -> CheckpointedRun {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let mut wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    wl0.set_input_digest(fnv1a(data));
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = sim_run(wrap(wl0, cfg), &sim, &HuffmanCost, blocks);
-    let inner = rep.workload.inner();
-    if inner.halted() {
-        CheckpointedRun::Halted(Box::new(
-            inner
-                .snapshot()
-                .expect("halted run always built a snapshot"),
-        ))
-    } else {
-        CheckpointedRun::Completed(Box::new(RunOutcome {
-            result: inner.result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        }))
+impl std::error::Error for HuffmanRunError {}
+
+impl From<RunError> for HuffmanRunError {
+    fn from(e: RunError) -> Self {
+        HuffmanRunError::Run(e)
     }
 }
 
-/// Resume a killed simulator run from its committed-prefix snapshot:
-/// verifies the snapshot against this input and configuration, re-feeds
-/// only the blocks past the prefix, and completes the stream — byte-
-/// identical to an uninterrupted run, because every remaining block is
-/// encoded with the snapshot's committed tree.
-pub fn resume_huffman_sim(
-    snapshot: &StreamSnapshot,
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-) -> Result<RunOutcome, ResumeError> {
-    snapshot.check_matches(cfg.digest(), fnv1a(data))?;
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let k = snapshot.prefix as usize;
-    let blocks: Vec<InputBlock> = blocks.into_iter().filter(|b| b.index >= k).collect();
-    let mut wl0 = HuffmanWorkload::resume(cfg.clone(), data.len(), snapshot)?;
-    wl0.set_input_digest(fnv1a(data));
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = sim_run(wrap(wl0, cfg), &sim, &HuffmanCost, blocks);
-    Ok(RunOutcome {
-        result: rep.workload.inner().result(),
-        metrics: rep.metrics,
-        arrivals: times,
-    })
-}
-
-/// Threaded counterpart of [`run_huffman_sim_checkpointed`]: real workers,
-/// the same snapshot cadence and halt semantics.
-pub fn run_huffman_threaded_checkpointed(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> CheckpointedRun {
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    let tracer = Tracer::disabled();
-    let mut wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    wl0.set_input_digest(fnv1a(data));
-    let (wl, iter, times) =
-        threaded_setup(wl0, data, cfg, &tcfg, arrival, time_scale, &tracer, None, 0);
-    let (wl, metrics) = threaded_try_run_traced(wl, &tcfg, iter, tracer)
-        .unwrap_or_else(|e| panic!("checkpointed threaded run failed: {e}"));
-    let inner = wl.inner();
-    if inner.halted() {
-        CheckpointedRun::Halted(Box::new(
-            inner
-                .snapshot()
-                .expect("halted run always built a snapshot"),
-        ))
-    } else {
-        CheckpointedRun::Completed(Box::new(RunOutcome {
-            result: inner.result(),
-            metrics,
-            arrivals: times,
-        }))
+impl From<ResumeError> for HuffmanRunError {
+    fn from(e: ResumeError) -> Self {
+        HuffmanRunError::Resume(e)
     }
 }
 
-/// Threaded counterpart of [`resume_huffman_sim`].
-pub fn resume_huffman_threaded(
-    snapshot: &StreamSnapshot,
+/// Run the Huffman pipeline over `data` as `spec` says.
+///
+/// The executor config's tracer, metrics hub and fault injector are wired
+/// into the pipeline workload and its replication plane (armed per
+/// [`HuffmanConfig::validation`]), so every layer reports into the same
+/// sinks and all fault draws share one budget and log. With
+/// `cfg.checkpoint` set, snapshots are bound to this input's digest,
+/// written at the configured cadence, and `halt_at_block` stops the run at
+/// that committed prefix ([`RunEnd::Halted`]).
+///
+/// A run that fails with an armed fault injector and an enabled tracer
+/// dumps a post-mortem bundle (see [`crate::postmortem`]) before the error
+/// is returned.
+///
+/// # Panics
+///
+/// If the executor's dispatch policy differs from `cfg.policy`: the
+/// scheduler and the speculation engine must follow one policy.
+pub fn run_huffman(
     data: &[u8],
     cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> Result<RunOutcome, ResumeError> {
-    snapshot.check_matches(cfg.digest(), fnv1a(data))?;
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    let tracer = Tracer::disabled();
-    let k = snapshot.prefix as usize;
-    let mut wl0 = HuffmanWorkload::resume(cfg.clone(), data.len(), snapshot)?;
-    wl0.set_input_digest(fnv1a(data));
-    let (wl, iter, times) =
-        threaded_setup(wl0, data, cfg, &tcfg, arrival, time_scale, &tracer, None, k);
-    let (wl, metrics) = threaded_try_run_traced(wl, &tcfg, iter, tracer)
-        .unwrap_or_else(|e| panic!("resumed threaded run failed: {e}"));
-    Ok(RunOutcome {
-        result: wl.inner().result(),
-        metrics,
-        arrivals: times,
-    })
-}
-
-/// Run the Huffman pipeline on the deterministic discrete-event executor.
-pub fn run_huffman_sim(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-) -> RunOutcome {
-    let (outcome, _) = run_huffman_sim_traced(data, cfg, platform, arrival, false);
-    outcome
-}
-
-/// Like [`run_huffman_sim`], optionally capturing the per-task trace.
-pub fn run_huffman_sim_traced(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-    trace: bool,
-) -> (RunOutcome, Vec<TaskTrace>) {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace,
+    spec: &RunSpec,
+) -> Result<HuffmanRun, HuffmanRunError> {
+    let (policy, tracer, hub, faults) = match &spec.executor {
+        Executor::Sim(s) => (s.policy, &s.tracer, &s.hub, &s.faults),
+        Executor::Threaded(t) | Executor::Baseline(t) => (t.policy, &t.tracer, &t.hub, &t.faults),
     };
-    let rep = sim_run(wl, &sim, &HuffmanCost, blocks);
-    (
-        RunOutcome {
-            result: rep.workload.inner().result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        },
-        rep.trace,
-    )
-}
-
-/// Like [`run_huffman_sim`], additionally recording the full
-/// speculation-lifecycle event log (dispatches, task spans, predictor
-/// fires, check verdicts, rollbacks with cascade depth, commits) in
-/// deterministic virtual time. The log's label is set to the policy name.
-pub fn run_huffman_sim_events(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-) -> (RunOutcome, TraceLog) {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let tracer = Tracer::enabled(platform.workers);
-    tracer.set_label(cfg.policy.label());
-    let mut wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    wl.inner_mut().set_tracer(tracer.clone());
-    wl.set_tracer(tracer.clone());
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = sim_run_traced(wl, &sim, &HuffmanCost, blocks, tracer.clone());
-    let log = tracer.drain().expect("enabled tracer drains");
-    (
-        RunOutcome {
-            result: rep.workload.inner().result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        },
-        log,
-    )
-}
-
-/// Like [`run_huffman_sim`], feeding every layer's telemetry (scheduler
-/// lifecycle counters, per-lane dispatch, manager outcomes, breaker state,
-/// encode-pool gauges) into `hub`. Pass a hub built with
-/// `MetricsHub::enabled(platform.workers)`; arm virtual-time sampling on it
-/// beforehand (`enable_virtual_sampling`) to collect byte-deterministic
-/// [`tvs_sre::MetricsSnapshot`]s, and drain them afterwards with
-/// `drain_virtual_snapshots`.
-pub fn run_huffman_sim_metered(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-    hub: MetricsHub,
-) -> RunOutcome {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let mut wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    wl.inner_mut().set_metrics(hub.clone());
-    wl.set_metrics(hub.clone());
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = sim_try_run_metered(
-        wl,
-        &sim,
-        &HuffmanCost,
-        blocks,
-        Tracer::disabled(),
-        &SimChaos::default(),
-        hub,
-    )
-    .unwrap_or_else(|e| panic!("metered sim run failed: {e}"));
-    RunOutcome {
-        result: rep.workload.inner().result(),
-        metrics: rep.metrics,
-        arrivals: times,
-    }
-}
-
-/// Run the Huffman pipeline on the simulator under a chaos plan: the
-/// fault-injection rules, retry policy and virtual watchdog in `chaos`,
-/// with the full speculation-lifecycle event log (including `task-fault`,
-/// `watchdog-cancel` and breaker events) captured in virtual time. The
-/// workload's own fault site ([`tvs_sre::FaultSite::PredictedValue`]) is
-/// armed with the same injector, so all draws share one budget and log.
-/// Returns a structured [`RunError`] when bounded retries cannot save the
-/// run — never a panic.
-pub fn run_huffman_sim_chaos(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-    chaos: &SimChaos,
-) -> Result<(RunOutcome, TraceLog), RunError> {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let tracer = Tracer::enabled(platform.workers);
-    tracer.set_label(cfg.policy.label());
-    let mut wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    wl.inner_mut().set_tracer(tracer.clone());
-    wl.inner_mut().set_fault_injector(chaos.faults.clone());
-    wl.set_tracer(tracer.clone());
-    wl.set_fault_injector(chaos.faults.clone());
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = match try_run_chaos(wl, &sim, &HuffmanCost, blocks, tracer.clone(), chaos) {
-        Ok(rep) => rep,
-        Err(e) => {
-            // Crash hook: dump the flight-recorder state before the
-            // structured error propagates (see `postmortem`).
-            if let Some(log) = tracer.drain() {
-                crate::postmortem::capture(
-                    crate::postmortem::Trigger::RunError,
-                    chaos.faults.seed().unwrap_or(0),
-                    cfg.policy.label(),
-                    &log,
-                    Some(e.to_string()),
-                );
-            }
-            return Err(e);
-        }
-    };
-    let log = tracer.drain().expect("enabled tracer drains");
-    Ok((
-        RunOutcome {
-            result: rep.workload.inner().result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        },
-        log,
-    ))
-}
-
-/// Run the Huffman pipeline on the simulator with replication-based
-/// validation armed against silent data corruption: `faults` should carry
-/// a [`tvs_sre::FaultSite::TaskOutput`] rule (see `FaultPlan::sdc`), which
-/// flips bits in encoded blocks *after* a successful encode — invisible to
-/// panics, retry and the tolerance checks alike. The same injector is
-/// wired into the workload (so draws share one budget) and into the
-/// replication plane (so it can compute detection recall). Returns the
-/// outcome plus the plane's counters.
-pub fn run_huffman_sim_sdc(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    platform: &Platform,
-    arrival: &dyn ArrivalModel,
-    faults: FaultInjector,
-) -> (RunOutcome, ReplicaStats) {
-    let (blocks, times) = schedule_blocks(data, cfg.block_bytes, arrival);
-    let mut wl = wrap(HuffmanWorkload::new(cfg.clone(), data.len()), cfg);
-    wl.inner_mut().set_fault_injector(faults.clone());
-    wl.set_fault_injector(faults);
-    let sim = SimConfig {
-        platform: platform.clone(),
-        policy: cfg.policy,
-        trace: false,
-    };
-    let rep = sim_run(wl, &sim, &HuffmanCost, blocks);
-    let stats = rep.workload.stats();
-    (
-        RunOutcome {
-            result: rep.workload.inner().result(),
-            metrics: rep.metrics,
-            arrivals: times,
-        },
-        stats,
-    )
-}
-
-/// Threaded counterpart of [`run_huffman_sim_sdc`]: real workers, the same
-/// silent-corruption injection and replication plane. Returns a structured
-/// [`RunError`] if the run cannot complete.
-pub fn run_huffman_threaded_sdc(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    faults: FaultInjector,
-) -> Result<(RunOutcome, ReplicaStats), RunError> {
-    let mut tcfg = ThreadedConfig::new(workers, cfg.policy);
-    tcfg.faults = faults;
-    let tracer = Tracer::disabled();
-    let wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    let (wl, iter, times) =
-        threaded_setup(wl0, data, cfg, &tcfg, arrival, time_scale, &tracer, None, 0);
-    let (wl, metrics) = threaded_try_run_traced(wl, &tcfg, iter, tracer)?;
-    Ok((
-        RunOutcome {
-            result: wl.inner().result(),
-            metrics,
-            arrivals: times,
-        },
-        wl.stats(),
-    ))
-}
-
-/// Run the Huffman pipeline on real threads, pacing arrivals per the model
-/// compressed by `time_scale` (so slow-I/O scenarios finish quickly in
-/// tests).
-pub fn run_huffman_threaded(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> RunOutcome {
-    threaded_impl(data, cfg, workers, arrival, time_scale, Tracer::disabled())
-}
-
-/// Like [`run_huffman_threaded`], additionally recording the full
-/// speculation-lifecycle event log in wall-clock time.
-pub fn run_huffman_threaded_events(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> (RunOutcome, TraceLog) {
-    let tracer = Tracer::enabled(workers);
-    tracer.set_label(cfg.policy.label());
-    let outcome = threaded_impl(data, cfg, workers, arrival, time_scale, tracer.clone());
-    let log = tracer.drain().expect("enabled tracer drains");
-    (outcome, log)
-}
-
-/// Like [`run_huffman_threaded`], feeding every layer's telemetry into
-/// `hub`. Pass a hub built with `MetricsHub::enabled(workers)` and attach a
-/// [`tvs_sre::Sampler`] (or call `hub.snapshot()` yourself) to watch the
-/// run live — this is what `tvs-top` and the `socket_stream` example do.
-pub fn run_huffman_threaded_metered(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    hub: MetricsHub,
-) -> RunOutcome {
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    try_threaded_metered_impl(data, cfg, &tcfg, arrival, time_scale, hub)
-        .unwrap_or_else(|e| panic!("metered threaded run failed: {e}"))
-}
-
-/// Run the Huffman pipeline on real threads under a caller-built
-/// [`ThreadedConfig`] — its `faults`, `retry` and `watchdog` fields are the
-/// chaos knobs — capturing the full event log in wall-clock time. The
-/// workload's predicted-value fault site is armed with the executor's
-/// injector. Returns a structured [`RunError`] when bounded retries cannot
-/// save the run — never a panic.
-pub fn run_huffman_threaded_chaos(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    tcfg: &ThreadedConfig,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-) -> Result<(RunOutcome, TraceLog), RunError> {
-    let tracer = Tracer::enabled(tcfg.workers);
-    tracer.set_label(cfg.policy.label());
-    let outcome = match try_threaded_impl(data, cfg, tcfg, arrival, time_scale, tracer.clone()) {
-        Ok(out) => out,
-        Err(e) => {
-            // Crash hook: dump the flight-recorder state before the
-            // structured error propagates (see `postmortem`).
-            if let Some(log) = tracer.drain() {
-                crate::postmortem::capture(
-                    crate::postmortem::Trigger::RunError,
-                    tcfg.faults.seed().unwrap_or(0),
-                    cfg.policy.label(),
-                    &log,
-                    Some(e.to_string()),
-                );
-            }
-            return Err(e);
-        }
-    };
-    let log = tracer.drain().expect("enabled tracer drains");
-    Ok((outcome, log))
-}
-
-fn threaded_impl(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    workers: usize,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    tracer: Tracer,
-) -> RunOutcome {
-    let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    try_threaded_impl(data, cfg, &tcfg, arrival, time_scale, tracer)
-        .unwrap_or_else(|e| panic!("threaded run failed: {e}"))
-}
-
-fn try_threaded_impl(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    tcfg: &ThreadedConfig,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    tracer: Tracer,
-) -> Result<RunOutcome, RunError> {
-    let wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    let (wl, iter, times) =
-        threaded_setup(wl0, data, cfg, tcfg, arrival, time_scale, &tracer, None, 0);
-    let (wl, metrics) = threaded_try_run_traced(wl, tcfg, iter, tracer)?;
-    Ok(RunOutcome {
-        result: wl.inner().result(),
-        metrics,
-        arrivals: times,
-    })
-}
-
-fn try_threaded_metered_impl(
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    tcfg: &ThreadedConfig,
-    arrival: &dyn ArrivalModel,
-    time_scale: u64,
-    hub: MetricsHub,
-) -> Result<RunOutcome, RunError> {
-    let tracer = Tracer::disabled();
-    let wl0 = HuffmanWorkload::new(cfg.clone(), data.len());
-    let (wl, iter, times) = threaded_setup(
-        wl0,
-        data,
-        cfg,
-        tcfg,
-        arrival,
-        time_scale,
-        &tracer,
-        Some(&hub),
-        0,
+    assert_eq!(
+        policy, cfg.policy,
+        "the executor's dispatch policy must equal HuffmanConfig::policy"
     );
-    let (wl, metrics) = threaded_try_run_metered(wl, tcfg, iter, tracer, hub)?;
-    Ok(RunOutcome {
-        result: wl.inner().result(),
-        metrics,
-        arrivals: times,
+    let digest = (cfg.checkpoint.is_some() || spec.resume.is_some()).then(|| fnv1a(data));
+    let mut wl = match spec.resume.zip(digest) {
+        Some((snap, input)) => {
+            snap.check_matches(cfg.digest(), input)?;
+            HuffmanWorkload::resume(cfg.clone(), data.len(), snap)?
+        }
+        None => HuffmanWorkload::new(cfg.clone(), data.len()),
+    };
+    if let Some(d) = digest {
+        wl.set_input_digest(d);
+    }
+    wl.set_tracer(tracer.clone());
+    wl.set_metrics(hub.clone());
+    wl.set_fault_injector(faults.clone());
+    let mut wl = ReplicatingWorkload::new(wl, cfg.validation, SDC_SEED, Arc::new(digest_output));
+    wl.set_tracer(tracer.clone());
+    wl.set_metrics(hub.clone());
+    wl.set_fault_injector(faults.clone());
+
+    let (blocks, arrivals) = schedule_blocks(data, cfg.block_bytes, spec.arrival);
+    let prefix = spec.resume.map_or(0, |s| s.prefix as usize);
+    let blocks: Vec<InputBlock> = blocks.into_iter().filter(|b| b.index >= prefix).collect();
+    let ran = match &spec.executor {
+        Executor::Sim(s) => {
+            sim::try_run(wl, s, &HuffmanCost, blocks).map(|r| (r.workload, r.metrics, r.trace))
+        }
+        Executor::Threaded(t) => threaded::try_run(wl, t, paced(blocks, spec.time_scale))
+            .map(|(w, m)| (w, m, Vec::new())),
+        Executor::Baseline(t) => baseline::try_run(wl, t, paced(blocks, spec.time_scale))
+            .map(|(w, m)| (w, m, Vec::new())),
+    };
+    let (wl, metrics, trace) = ran.inspect_err(|e| {
+        // Crash hook: dump the flight-recorder state before the
+        // structured error propagates (see `postmortem`).
+        if let Some(seed) = faults.seed() {
+            if let Some(log) = tracer.drain() {
+                crate::postmortem::capture(
+                    crate::postmortem::Trigger::RunError,
+                    seed,
+                    cfg.policy.label(),
+                    &log,
+                    Some(e.to_string()),
+                );
+            }
+        }
+    })?;
+    let inner = wl.inner();
+    let end = if inner.halted() {
+        RunEnd::Halted(Box::new(
+            inner
+                .snapshot()
+                .expect("halted run always built a snapshot"),
+        ))
+    } else {
+        RunEnd::Completed(Box::new(RunOutcome {
+            result: inner.result(),
+            metrics,
+            arrivals,
+        }))
+    };
+    Ok(HuffmanRun {
+        end,
+        replicas: wl.stats(),
+        trace,
     })
 }
 
-/// Shared threaded-run scaffolding: workload wiring plus the paced input
-/// iterator (arrival schedule compressed by `time_scale`). Blocks below
-/// `skip_below` are not fed at all — a resumed run's committed prefix.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn threaded_setup(
-    wl0: HuffmanWorkload,
-    data: &[u8],
-    cfg: &HuffmanConfig,
-    tcfg: &ThreadedConfig,
-    arrival: &dyn ArrivalModel,
+/// The real-thread executors' input: each block is released at its
+/// arrival time divided by `time_scale`, measured from now.
+fn paced(
+    blocks: Vec<InputBlock>,
     time_scale: u64,
-    tracer: &Tracer,
-    hub: Option<&MetricsHub>,
-    skip_below: usize,
-) -> (
-    ReplicatingWorkload<HuffmanWorkload>,
-    impl Iterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    Vec<u64>,
-) {
-    let n = data.len().div_ceil(cfg.block_bytes);
-    let times = arrival.schedule(n, cfg.block_bytes);
-    let mut wl = wrap(wl0, cfg);
-    wl.inner_mut().set_tracer(tracer.clone());
-    wl.set_tracer(tracer.clone());
-    if let Some(h) = hub {
-        wl.inner_mut().set_metrics(h.clone());
-        wl.set_metrics(h.clone());
-    }
-    wl.inner_mut().set_fault_injector(tcfg.faults.clone());
-    wl.set_fault_injector(tcfg.faults.clone());
-
-    // The feeder consumes a paced iterator; build owned blocks up front.
-    let owned: Vec<(usize, Arc<[u8]>)> = data
-        .chunks(cfg.block_bytes)
-        .enumerate()
-        .filter(|(i, _)| *i >= skip_below)
-        .map(|(i, c)| (i, Arc::<[u8]>::from(c)))
-        .collect();
-    let pace_times = times.clone();
-    let paced = owned.into_iter().map(move |(i, d)| {
-        // Busy-sleep pacing (scaled).
-        (i, d, pace_times[i] / time_scale.max(1))
-    });
-    let start = std::time::Instant::now();
-    let iter = paced.map(move |(i, d, due_us)| {
-        let due = std::time::Duration::from_micros(due_us);
+) -> impl Iterator<Item = (usize, Arc<[u8]>)> + Send + 'static {
+    let start = Instant::now();
+    blocks.into_iter().map(move |b| {
+        let due = Duration::from_micros(b.arrival / time_scale.max(1));
         let elapsed = start.elapsed();
         if due > elapsed {
             std::thread::sleep(due - elapsed);
         }
-        (i, d)
-    });
-    (wl, iter, times)
+        (b.index, b.data)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tvs_iosim::Uniform;
-    use tvs_sre::{x86_smp, DispatchPolicy};
+    use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, MetricsHub, Tracer};
 
     fn data() -> Vec<u8> {
         (0..64 * 1024)
@@ -684,6 +339,12 @@ mod tests {
         }
     }
 
+    fn run(d: &[u8], c: &HuffmanConfig, spec: RunSpec) -> RunOutcome {
+        run_huffman(d, c, &spec)
+            .expect("run completes")
+            .into_outcome()
+    }
+
     #[test]
     fn sim_runner_end_to_end() {
         let d = data();
@@ -691,7 +352,12 @@ mod tests {
             gap_us: 2,
             start_us: 0,
         };
-        let out = run_huffman_sim(&d, &cfg(DispatchPolicy::Balanced), &x86_smp(8), &arrival);
+        let c = cfg(DispatchPolicy::Balanced);
+        let out = run(
+            &d,
+            &c,
+            RunSpec::sim(SimConfig::new(x86_smp(8), c.policy), &arrival),
+        );
         assert_eq!(out.result.blocks.len(), 16);
         assert_eq!(out.arrivals.len(), 16);
         assert!(out.completion_time() > 0);
@@ -707,8 +373,9 @@ mod tests {
             start_us: 1,
         };
         let c = cfg(DispatchPolicy::Aggressive);
-        let a = run_huffman_sim(&d, &c, &x86_smp(8), &arrival);
-        let b = run_huffman_sim(&d, &c, &x86_smp(8), &arrival);
+        let spec = RunSpec::sim(SimConfig::new(x86_smp(8), c.policy), &arrival);
+        let a = run(&d, &c, spec.clone());
+        let b = run(&d, &c, spec);
         assert_eq!(a.latencies(), b.latencies());
         assert_eq!(a.completion_time(), b.completion_time());
         assert_eq!(a.result.compressed_bits, b.result.compressed_bits);
@@ -721,16 +388,32 @@ mod tests {
             gap_us: 2,
             start_us: 0,
         };
-        let (_, trace) = run_huffman_sim_traced(
-            &d,
-            &cfg(DispatchPolicy::NonSpeculative),
-            &x86_smp(4),
-            &arrival,
-            true,
-        );
+        let c = cfg(DispatchPolicy::NonSpeculative);
+        let sim = SimConfig {
+            trace: true,
+            ..SimConfig::new(x86_smp(4), c.policy)
+        };
+        let trace = run_huffman(&d, &c, &RunSpec::sim(sim, &arrival))
+            .expect("run completes")
+            .trace;
         assert!(trace.iter().any(|t| t.name == "count"));
         assert!(trace.iter().any(|t| t.name == "encode"));
         assert!(trace.iter().any(|t| t.name == "tree"));
+    }
+
+    #[test]
+    #[should_panic(expected = "dispatch policy must equal HuffmanConfig::policy")]
+    fn executor_and_pipeline_policies_must_agree() {
+        let d = data();
+        let arrival = Uniform {
+            gap_us: 1,
+            start_us: 0,
+        };
+        // The scheduler would dispatch aggressively while the speculation
+        // engine and the trace label follow the balanced policy.
+        let tcfg = ThreadedConfig::new(2, DispatchPolicy::Aggressive);
+        let c = cfg(DispatchPolicy::Balanced);
+        let _ = run_huffman(&d, &c, &RunSpec::threaded(tcfg, &arrival, 1000));
     }
 
     #[test]
@@ -744,8 +427,16 @@ mod tests {
         // Step 0: predict from the very first block, so this small input
         // exercises the full speculation lifecycle.
         c.schedule = tvs_core::SpeculationSchedule::with_step(0);
-        let (out, log) = run_huffman_sim_events(&d, &c, &x86_smp(8), &arrival);
+        let sim = SimConfig {
+            tracer: Tracer::enabled(8),
+            hub: MetricsHub::enabled(8),
+            ..SimConfig::new(x86_smp(8), c.policy)
+        };
+        let out = run(&d, &c, RunSpec::sim(sim.clone(), &arrival));
+        let log = sim.tracer.drain().expect("enabled tracer drains");
         assert_eq!(log.label, "aggressive");
+        let snap = sim.hub.snapshot().expect("enabled hub snapshots");
+        assert_eq!(snap.label, log.label, "one run label for both planes");
         assert_eq!(log.workers, 8);
         let h = log.health();
         assert!(h.predictor_fires > 0, "aggressive policy predicts");
@@ -760,7 +451,11 @@ mod tests {
             "trace rollbacks match RunMetrics"
         );
         // The traced run must not perturb results: rerun untraced.
-        let plain = run_huffman_sim(&d, &c, &x86_smp(8), &arrival);
+        let plain = run(
+            &d,
+            &c,
+            RunSpec::sim(SimConfig::new(x86_smp(8), c.policy), &arrival),
+        );
         assert_eq!(plain.metrics, out.metrics);
         assert_eq!(plain.latencies(), out.latencies());
     }
@@ -772,8 +467,14 @@ mod tests {
             gap_us: 1,
             start_us: 0,
         };
-        let (out, log) =
-            run_huffman_threaded_events(&d, &cfg(DispatchPolicy::Balanced), 4, &arrival, 1000);
+        let c = cfg(DispatchPolicy::Balanced);
+        let tracer = Tracer::enabled(4);
+        let tcfg = ThreadedConfig {
+            tracer: tracer.clone(),
+            ..ThreadedConfig::new(4, c.policy)
+        };
+        let out = run(&d, &c, RunSpec::threaded(tcfg, &arrival, 1000));
+        let log = tracer.drain().expect("enabled tracer drains");
         assert_eq!(log.count("task-end"), log.count("task-start"));
         assert_eq!(
             log.count("task-end") as u64,
@@ -797,7 +498,6 @@ mod tests {
 
     #[test]
     fn sim_chaos_is_deterministic_and_output_decodes() {
-        use tvs_sre::{FaultInjector, FaultPlan};
         let d = data();
         let arrival = Uniform {
             gap_us: 2,
@@ -806,12 +506,16 @@ mod tests {
         let c = cfg(DispatchPolicy::Balanced);
         // A fresh injector per run: draw counters are part of run state.
         let run = |seed: u64| {
-            let chaos = SimChaos {
+            let tracer = Tracer::enabled(8);
+            let sim = SimConfig {
+                tracer: tracer.clone(),
                 faults: FaultInjector::new(FaultPlan::chaos(seed)),
-                ..SimChaos::default()
+                ..SimConfig::new(x86_smp(8), c.policy)
             };
-            run_huffman_sim_chaos(&d, &c, &x86_smp(8), &arrival, &chaos)
+            let out = run_huffman(&d, &c, &RunSpec::sim(sim, &arrival))
                 .expect("the chaos preset recovers through retry + rollback")
+                .into_outcome();
+            (out, tracer.drain().expect("enabled tracer drains"))
         };
         let (a, la) = run(42);
         let (b, lb) = run(42);
@@ -824,17 +528,22 @@ mod tests {
 
     #[test]
     fn threaded_chaos_run_completes_with_correct_output() {
-        use tvs_sre::{FaultInjector, FaultPlan};
         let d = data();
         let arrival = Uniform {
             gap_us: 1,
             start_us: 0,
         };
         let c = cfg(DispatchPolicy::Balanced);
-        let mut tcfg = ThreadedConfig::new(4, c.policy);
-        tcfg.faults = FaultInjector::new(FaultPlan::chaos(7));
-        let (out, log) = run_huffman_threaded_chaos(&d, &c, &tcfg, &arrival, 1000)
-            .expect("the chaos preset recovers through retry + rollback");
+        let tracer = Tracer::enabled(4);
+        let tcfg = ThreadedConfig {
+            tracer: tracer.clone(),
+            faults: FaultInjector::new(FaultPlan::chaos(7)),
+            ..ThreadedConfig::new(4, c.policy)
+        };
+        let out = run_huffman(&d, &c, &RunSpec::threaded(tcfg, &arrival, 1000))
+            .expect("the chaos preset recovers through retry + rollback")
+            .into_outcome();
+        let log = tracer.drain().expect("enabled tracer drains");
         decode_outcome(&out, &d);
         assert_eq!(
             log.count("task-fault") as u64,
@@ -872,7 +581,13 @@ mod tests {
             gap_us: 100,
             start_us: 0,
         };
-        let (out, log) = run_huffman_sim_events(&d, &c, &x86_smp(8), &arrival);
+        let tracer = Tracer::enabled(8);
+        let sim = SimConfig {
+            tracer: tracer.clone(),
+            ..SimConfig::new(x86_smp(8), c.policy)
+        };
+        let out = run(&d, &c, RunSpec::sim(sim, &arrival));
+        let log = tracer.drain().expect("enabled tracer drains");
         assert!(
             log.count("breaker-trip") >= 1,
             "100% misprediction must trip the breaker"
@@ -888,10 +603,12 @@ mod tests {
             gap_us: 1,
             start_us: 0,
         };
-        let out = run_huffman_threaded(&d, &cfg(DispatchPolicy::Balanced), 4, &arrival, 1000);
-        let (bytes, bits, lengths) = out.result.output.as_ref().unwrap();
-        let table = tvs_huffman::CodeTable::from_lengths(lengths);
-        let back = tvs_huffman::decode_exact(bytes, 0, *bits, d.len(), &table).unwrap();
-        assert_eq!(back, d);
+        let c = cfg(DispatchPolicy::Balanced);
+        let out = run(
+            &d,
+            &c,
+            RunSpec::threaded(ThreadedConfig::new(4, c.policy), &arrival, 1000),
+        );
+        decode_outcome(&out, &d);
     }
 }

@@ -18,7 +18,7 @@
 //! There is no watchdog: the baseline exists for lock-contention
 //! comparisons, not for chaos runs.
 //!
-//! New code should use [`super::threaded::run`]; this module is not
+//! New code should use [`super::threaded::try_run`]; this module is not
 //! re-exported at the crate root.
 
 use crate::fault::{self, RunError};
@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tvs_faults::{FaultInjector, FaultKind, FaultSite};
-use tvs_metrics::{Counter, Hist, MetricsHub};
-use tvs_trace::{EventKind, Tracer};
+use tvs_metrics::{Counter, Hist};
+use tvs_trace::EventKind;
 
 pub use super::threaded::ThreadedConfig;
 
@@ -109,20 +109,18 @@ fn run_attempt(faults: &FaultInjector, work: &mut Dispatched) -> std::thread::Re
 }
 
 /// Run `workload` on `cfg.workers` real threads with the single-lock
-/// dispatch path. Semantics are identical to [`super::threaded::run`]; only
-/// the synchronisation strategy differs. Panics on a failed run; use
-/// [`try_run`] for the fallible form.
-pub fn run<W, I>(workload: W, cfg: &ThreadedConfig, inputs: I) -> (W, RunMetrics)
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run(workload, cfg, inputs).unwrap_or_else(|e| panic!("baseline run failed: {e}"))
-}
-
-/// [`run`] returning a structured [`RunError`] instead of panicking when
-/// the run cannot complete.
+/// dispatch path. Semantics are identical to [`super::threaded::try_run`];
+/// only the synchronisation strategy differs. `cfg.watchdog` and
+/// `cfg.supervisor` are not consulted.
+///
+/// The baseline has no lanes or steals: each worker pops straight off the
+/// central queue, so its dispatch event carries the worker index as the
+/// "lane" and the task-end `discarded` flag is exact (the completion
+/// outcome is decided in-thread under the global lock). Per-"lane"
+/// dispatch counters in the hub attribute each dispatch to the worker that
+/// popped it — useful for live dashboards — while
+/// [`RunMetrics::lane_dispatches`] keeps its documented per-worker zeros
+/// (the baseline has no lane *binding* semantics to report).
 pub fn try_run<W, I>(
     workload: W,
     cfg: &ThreadedConfig,
@@ -133,78 +131,9 @@ where
     I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
     I::IntoIter: Send,
 {
-    try_run_traced(workload, cfg, inputs, Tracer::disabled())
-}
-
-/// [`run`], recording speculation-lifecycle events into `tracer`. Panics
-/// on a failed run; use [`try_run_traced`] for the fallible form.
-pub fn run_traced<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-    tracer: Tracer,
-) -> (W, RunMetrics)
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run_traced(workload, cfg, inputs, tracer)
-        .unwrap_or_else(|e| panic!("baseline run failed: {e}"))
-}
-
-/// The full entry point: single-lock execution with tracing and structured
-/// failure.
-///
-/// The baseline has no lanes or steals: each worker pops straight off the
-/// central queue, so its dispatch event carries the worker index as the
-/// "lane" and the task-end `discarded` flag is exact (the completion
-/// outcome is decided in-thread under the global lock).
-pub fn try_run_traced<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-    tracer: Tracer,
-) -> Result<(W, RunMetrics), RunError>
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run_metered(workload, cfg, inputs, tracer, MetricsHub::disabled())
-}
-
-/// [`try_run_traced`] with a live metrics hub. The baseline has no lanes,
-/// so per-"lane" dispatch counters in the hub attribute each dispatch to
-/// the worker that popped it — useful for live dashboards — while
-/// [`RunMetrics::lane_dispatches`] keeps its documented per-worker zeros
-/// (the baseline has no lane *binding* semantics to report).
-pub fn try_run_metered<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-    tracer: Tracer,
-    hub: MetricsHub,
-) -> Result<(W, RunMetrics), RunError>
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
     assert!(cfg.workers > 0, "need at least one worker");
-    let hub = if hub.has_registry() {
-        assert_eq!(
-            hub.workers(),
-            cfg.workers,
-            "metrics hub must be sized for cfg.workers lanes"
-        );
-        hub
-    } else {
-        MetricsHub::internal(cfg.workers)
-    };
-    if hub.is_live() {
-        hub.set_label(&format!("{:?}", cfg.policy));
-    }
+    let tracer = &cfg.tracer;
+    let hub = super::observe_run(tracer, &cfg.hub, cfg.workers, cfg.policy);
     let shared = Arc::new(Shared {
         inner: Mutex::new(Inner {
             sched: {
@@ -554,6 +483,7 @@ mod tests {
     use crate::policy::DispatchPolicy;
     use crate::task::payload;
     use std::sync::atomic::AtomicU32;
+    use tvs_trace::Tracer;
 
     struct Summer {
         n: usize,
@@ -587,7 +517,7 @@ mod tests {
             (0..32).map(|i| (i, vec![i as u8; 100].into())).collect();
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
         let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
-        let (w, m) = run(
+        let (w, m) = try_run(
             Summer {
                 n: 32,
                 seen: 0,
@@ -595,7 +525,8 @@ mod tests {
             },
             &cfg,
             blocks,
-        );
+        )
+        .expect("run completes");
         assert_eq!(w.total, expect);
         assert_eq!(m.tasks_delivered, 32);
         assert_eq!(
@@ -611,9 +542,12 @@ mod tests {
     fn baseline_traced_run_records_exact_lifecycle() {
         let blocks: Vec<(usize, Arc<[u8]>)> =
             (0..8).map(|i| (i, vec![i as u8; 32].into())).collect();
-        let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
         let tracer = Tracer::enabled(2);
-        let (w, m) = run_traced(
+        let cfg = ThreadedConfig {
+            tracer: tracer.clone(),
+            ..ThreadedConfig::new(2, DispatchPolicy::NonSpeculative)
+        };
+        let (w, m) = try_run(
             Summer {
                 n: 8,
                 seen: 0,
@@ -621,8 +555,8 @@ mod tests {
             },
             &cfg,
             blocks,
-            tracer.clone(),
-        );
+        )
+        .expect("run completes");
         assert_eq!(w.seen, 8);
         assert_eq!(m.tasks_delivered, 8);
         let log = tracer.drain().expect("enabled tracer drains");

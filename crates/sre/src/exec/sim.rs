@@ -9,7 +9,7 @@
 //! arbitrarily slow I/O without owning any of them.
 //!
 //! Fault handling matches the threaded executors ([`super::threaded`]),
-//! re-interpreted in virtual time via [`SimChaos`]:
+//! re-interpreted in virtual time (the fault fields of [`SimConfig`]):
 //!
 //! * task bodies run under `catch_unwind`; a panicking speculative body is
 //!   routed through [`crate::sched::Scheduler::fault`] →
@@ -43,7 +43,8 @@ use tvs_faults::{FaultInjector, FaultKind, FaultSite};
 use tvs_metrics::{Counter, Hist, MetricsHub};
 use tvs_trace::{EventKind, Tracer};
 
-/// Configuration of a simulation run.
+/// Configuration of a simulation run. Build with [`SimConfig::new`] and
+/// switch planes on with `..` update syntax.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Machine model (workers, prefetch depth, DMA, scaling).
@@ -52,22 +53,37 @@ pub struct SimConfig {
     pub policy: DispatchPolicy,
     /// Record a per-task [`TaskTrace`].
     pub trace: bool,
-}
-
-/// Fault-handling options of a simulated run — kept out of [`SimConfig`]
-/// so the dozens of existing construction sites stay untouched; [`run`]
-/// and [`run_traced`] use the default (no injection, default retry, no
-/// watchdog).
-#[derive(Clone, Debug, Default)]
-pub struct SimChaos {
+    /// Speculation-lifecycle event sink, stamped in virtual time.
+    pub tracer: Tracer,
+    /// Live metrics hub, sized for `platform.workers`. Snapshots follow
+    /// virtual time: arm it with [`MetricsHub::enable_virtual_sampling`]
+    /// and drain with [`MetricsHub::drain_virtual_snapshots`].
+    pub hub: MetricsHub,
     /// Retry policy for panicked non-speculative tasks. Retries are
     /// instantaneous in virtual time.
     pub retry: RetryPolicy,
     /// Virtual-time watchdog; fires at exactly `start + deadline_us` for
     /// tasks whose virtual cost exceeds the deadline.
     pub watchdog: Option<WatchdogConfig>,
-    /// Fault injection plan (disabled by default).
+    /// Fault injection plan.
     pub faults: FaultInjector,
+}
+
+impl SimConfig {
+    /// A config with every optional plane off: no task trace, disabled
+    /// tracer and hub, default retry, no watchdog, no fault injection.
+    pub fn new(platform: Platform, policy: DispatchPolicy) -> Self {
+        SimConfig {
+            platform,
+            policy,
+            trace: false,
+            tracer: Tracer::disabled(),
+            hub: MetricsHub::disabled(),
+            retry: RetryPolicy::default(),
+            watchdog: None,
+            faults: FaultInjector::disabled(),
+        }
+    }
 }
 
 struct Assigned {
@@ -96,15 +112,30 @@ struct Delayed {
     output: Payload,
 }
 
-/// Mutable chaos bookkeeping threaded through the event loop.
-struct ChaosState<'a> {
-    opts: &'a SimChaos,
+/// The event heap, ordered by (time, push sequence) for determinism, plus
+/// the payloads of keyed events (watchdog fires, delayed completions).
+#[derive(Default)]
+struct Events {
+    heap: BinaryHeap<Reverse<(Time, u64, usize, EvSlot)>>,
+    seq: u64,
     /// Watchdog events in flight: key → (worker, task id).
     watch: HashMap<usize, (usize, TaskId)>,
     /// Delayed completions in flight: key → payload.
     delayed: HashMap<usize, Delayed>,
     /// Fresh keys for the two maps above.
     next_key: usize,
+}
+
+impl Events {
+    fn push(&mut self, t: Time, aux: usize, slot: EvSlot) {
+        self.heap.push(Reverse((t, self.seq, aux, slot)));
+        self.seq += 1;
+    }
+
+    fn fresh_key(&mut self) -> usize {
+        self.next_key += 1;
+        self.next_key - 1
+    }
 }
 
 struct SimCtx<'a> {
@@ -128,94 +159,31 @@ impl SchedCtx for SimCtx<'_> {
     }
 }
 
-/// Run `workload` to completion over the given pre-scheduled `inputs`.
+/// Run `workload` to completion over the given pre-scheduled `inputs`
+/// (sorted by arrival time, as produced by the `tvs-iosim` models), with
+/// the tracing, metrics and fault-handling planes `cfg` switches on.
 ///
-/// `inputs` must be sorted by arrival time (as produced by the
-/// `tvs-iosim` models). Panics with a diagnostic if the workload deadlocks
-/// (events exhausted before [`Workload::is_finished`]) or if the run fails
-/// (see [`try_run_chaos`] for the fallible form).
-pub fn run<W: Workload>(
-    workload: W,
-    cfg: &SimConfig,
-    cost: &dyn CostModel,
-    inputs: Vec<InputBlock>,
-) -> SimReport<W> {
-    run_traced(workload, cfg, cost, inputs, Tracer::disabled())
-}
-
-/// [`run`], recording speculation-lifecycle events into `tracer`.
+/// The tracer's and hub's ambient virtual clock follows the event heap, so
+/// every event — including scheduler rollback/cancel events fired from
+/// inside workload callbacks — is stamped with deterministic virtual time,
+/// and task start/end events carry the exact simulated interval the task
+/// occupied its worker. The resulting [`RunMetrics`] do not depend on
+/// which planes are on.
 ///
-/// The tracer's ambient virtual clock follows the event heap, so every
-/// emitted event — including scheduler rollback/cancel events fired from
-/// inside workload callbacks — is stamped with deterministic virtual time.
-/// Task start/end events are stamped with the exact simulated interval the
-/// task occupied its worker. Pass [`Tracer::disabled`] (or call [`run`]) for
-/// a zero-overhead no-op sink; the resulting [`RunMetrics`] are identical
-/// either way.
-pub fn run_traced<W: Workload>(
-    workload: W,
-    cfg: &SimConfig,
-    cost: &dyn CostModel,
-    inputs: Vec<InputBlock>,
-    tracer: Tracer,
-) -> SimReport<W> {
-    try_run_chaos(workload, cfg, cost, inputs, tracer, &SimChaos::default())
-        .unwrap_or_else(|e| panic!("simulated run failed: {e}"))
-}
-
-/// The full entry point: simulation with tracing, fault injection and
-/// structured failure. A non-speculative task panicking on every attempt
-/// its retry policy allows returns `Err`; everything else — injected
-/// panics, stalls, delayed and duplicated completions, watchdog cancels of
-/// speculative tasks — recovers through the rollback machinery and
-/// completes the run.
-pub fn try_run_chaos<W: Workload>(
-    workload: W,
-    cfg: &SimConfig,
-    cost: &dyn CostModel,
-    inputs: Vec<InputBlock>,
-    tracer: Tracer,
-    chaos: &SimChaos,
-) -> Result<SimReport<W>, RunError> {
-    try_run_metered(
-        workload,
-        cfg,
-        cost,
-        inputs,
-        tracer,
-        chaos,
-        MetricsHub::disabled(),
-    )
-}
-
-/// [`try_run_chaos`] with a live metrics hub. Snapshots are driven by
-/// *virtual* time: arm the hub with
-/// [`MetricsHub::enable_virtual_sampling`] before the run and drain with
-/// [`MetricsHub::drain_virtual_snapshots`] after — the snapshot stream is
-/// then as deterministic as the simulation itself (same seed → identical
-/// JSONL bytes). No sampler thread is involved.
-pub fn try_run_metered<W: Workload>(
+/// A non-speculative task panicking on every attempt `cfg.retry` allows
+/// returns `Err`; everything else — injected panics, stalls, delayed and
+/// duplicated completions, watchdog cancels of speculative tasks —
+/// recovers through the rollback machinery. Panics with a diagnostic if
+/// the workload deadlocks (events exhausted before
+/// [`Workload::is_finished`]).
+pub fn try_run<W: Workload>(
     mut workload: W,
     cfg: &SimConfig,
     cost: &dyn CostModel,
     inputs: Vec<InputBlock>,
-    tracer: Tracer,
-    chaos: &SimChaos,
-    hub: MetricsHub,
 ) -> Result<SimReport<W>, RunError> {
-    let hub = if hub.has_registry() {
-        assert_eq!(
-            hub.workers(),
-            cfg.platform.workers,
-            "metrics hub must be sized for the platform's worker count"
-        );
-        hub
-    } else {
-        MetricsHub::internal(cfg.platform.workers)
-    };
-    if hub.is_live() {
-        hub.set_label(&format!("{:?}", cfg.policy));
-    }
+    let tracer = &cfg.tracer;
+    let hub = super::observe_run(tracer, &cfg.hub, cfg.platform.workers, cfg.policy);
     assert!(
         cfg.platform.workers > 0,
         "platform must have at least one worker"
@@ -233,22 +201,11 @@ pub fn try_run_metered<W: Workload>(
             assigned: VecDeque::new(),
         })
         .collect();
-    let mut chaos_state = ChaosState {
-        opts: chaos,
-        watch: HashMap::new(),
-        delayed: HashMap::new(),
-        next_key: 0,
-    };
-
-    // Event queue ordered by (time, push sequence) for determinism.
-    let mut heap: BinaryHeap<Reverse<(Time, u64, usize, EvSlot)>> = BinaryHeap::new();
-    let mut heap_seq = 0u64;
-
+    let mut events = Events::default();
     let n_inputs = inputs.len();
     let mut input_map: HashMap<usize, InputBlock> = HashMap::new();
     for (i, b) in inputs.into_iter().enumerate() {
-        heap.push(Reverse((b.arrival, heap_seq, i, EvSlot::Arrival)));
-        heap_seq += 1;
+        events.push(b.arrival, i, EvSlot::Arrival);
         input_map.insert(i, b);
     }
 
@@ -272,20 +229,9 @@ pub fn try_run_metered<W: Workload>(
         };
         workload.on_start(&mut ctx);
     }
-    dispatch_all(
-        &mut sched,
-        &mut workers,
-        cfg,
-        cost,
-        0,
-        &mut heap,
-        &mut heap_seq,
-        &hub,
-        &tracer,
-        &mut chaos_state,
-    );
+    dispatch_all(&mut sched, &mut workers, cfg, cost, 0, &mut events, &hub);
 
-    while let Some(Reverse((t, _seq, aux, slot))) = heap.pop() {
+    while let Some(Reverse((t, _seq, aux, slot))) = events.heap.pop() {
         last_event_time = t;
         tracer.set_virtual_now(t);
         hub.set_virtual_now(t);
@@ -294,9 +240,8 @@ pub fn try_run_metered<W: Workload>(
             EvSlot::Arrival => {
                 // An injected feeder stall pushes the arrival to a later
                 // virtual instant.
-                if let Some(FaultKind::Stall { us }) = chaos.faults.draw(FaultSite::Feeder) {
-                    heap.push(Reverse((t + us.max(1), heap_seq, aux, EvSlot::Arrival)));
-                    heap_seq += 1;
+                if let Some(FaultKind::Stall { us }) = cfg.faults.draw(FaultSite::Feeder) {
+                    events.push(t + us.max(1), aux, EvSlot::Arrival);
                     continue;
                 }
                 let block = match input_map.entry(aux) {
@@ -414,7 +359,7 @@ pub fn try_run_metered<W: Workload>(
                                     );
                                 }
                                 if work.version.is_some()
-                                    || attempt + 1 >= chaos.retry.max_attempts.max(1)
+                                    || attempt + 1 >= cfg.retry.max_attempts.max(1)
                                 {
                                     break None;
                                 }
@@ -497,15 +442,14 @@ pub fn try_run_metered<W: Workload>(
                                 });
                             }
                             let mut echo = false;
-                            match chaos.faults.draw(FaultSite::Completion) {
+                            match cfg.faults.draw(FaultSite::Completion) {
                                 Some(FaultKind::DelayCompletion { us }) => {
                                     // Hold the completion back: the task
                                     // stays in flight until the delayed
                                     // delivery, which decides discard vs
                                     // deliver against the abort state then.
-                                    let key = chaos_state.next_key;
-                                    chaos_state.next_key += 1;
-                                    chaos_state.delayed.insert(
+                                    let key = events.fresh_key();
+                                    events.delayed.insert(
                                         key,
                                         Delayed {
                                             id: work.id,
@@ -517,13 +461,7 @@ pub fn try_run_metered<W: Workload>(
                                             output,
                                         },
                                     );
-                                    heap.push(Reverse((
-                                        t + us.max(1),
-                                        heap_seq,
-                                        key,
-                                        EvSlot::DelayedDone,
-                                    )));
-                                    heap_seq += 1;
+                                    events.push(t + us.max(1), key, EvSlot::DelayedDone);
                                 }
                                 other => {
                                     if matches!(other, Some(FaultKind::DuplicateCompletion)) {
@@ -562,7 +500,7 @@ pub fn try_run_metered<W: Workload>(
                 }
             }
             EvSlot::DelayedDone => {
-                let d = chaos_state
+                let d = events
                     .delayed
                     .remove(&aux)
                     .expect("delayed completion recorded");
@@ -597,7 +535,7 @@ pub fn try_run_metered<W: Workload>(
                 }
             }
             EvSlot::Watchdog => {
-                if let Some((wi, id)) = chaos_state.watch.remove(&aux) {
+                if let Some((wi, id)) = events.watch.remove(&aux) {
                     if let Some(a) = workers[wi].assigned.iter().find(|a| a.work.id == id) {
                         TaskCtx::signal_abort(&a.work.ctx.abort_flag());
                         metrics.watchdog_cancels += 1;
@@ -623,18 +561,7 @@ pub fn try_run_metered<W: Workload>(
         if finished_at.is_none() && workload.is_finished() {
             finished_at = Some(t);
         }
-        dispatch_all(
-            &mut sched,
-            &mut workers,
-            cfg,
-            cost,
-            t,
-            &mut heap,
-            &mut heap_seq,
-            &hub,
-            &tracer,
-            &mut chaos_state,
-        );
+        dispatch_all(&mut sched, &mut workers, cfg, cost, t, &mut events, &hub);
     }
 
     if !workload.is_finished() {
@@ -683,19 +610,16 @@ enum EvSlot {
 /// completion events. Per-worker dispatch counts go to `hub`'s lane
 /// shards (the simulator's analogue of the threaded executor's ready
 /// lanes).
-#[allow(clippy::too_many_arguments)]
 fn dispatch_all(
     sched: &mut Scheduler,
     workers: &mut [WorkerState],
     cfg: &SimConfig,
     cost: &dyn CostModel,
     now: Time,
-    heap: &mut BinaryHeap<Reverse<(Time, u64, usize, EvSlot)>>,
-    heap_seq: &mut u64,
+    events: &mut Events,
     hub: &MetricsHub,
-    tracer: &Tracer,
-    chaos: &mut ChaosState<'_>,
 ) {
+    let tracer = &cfg.tracer;
     loop {
         if !sched.has_dispatchable() {
             return;
@@ -727,7 +651,7 @@ fn dispatch_all(
         };
         let mut c = cfg.platform.task_cost_us(cost, work.name, work.bytes);
         let mut inject_panic = false;
-        match chaos.opts.faults.draw(FaultSite::TaskBody) {
+        match cfg.faults.draw(FaultSite::TaskBody) {
             Some(FaultKind::PanicTask) => inject_panic = true,
             Some(FaultKind::Stall { us }) => c += us,
             _ => {}
@@ -750,20 +674,13 @@ fn dispatch_all(
         let w = &mut workers[wi];
         let start = w.pipeline_end.max(now);
         let end = start + c.max(1);
-        if let Some(wd) = chaos.opts.watchdog {
+        if let Some(wd) = cfg.watchdog {
             // The cancel instant is known at dispatch: the task's virtual
             // occupancy exceeds the deadline iff the watchdog fires.
             if c.max(1) > wd.deadline_us {
-                let key = chaos.next_key;
-                chaos.next_key += 1;
-                chaos.watch.insert(key, (wi, work.id));
-                heap.push(Reverse((
-                    start + wd.deadline_us,
-                    *heap_seq,
-                    key,
-                    EvSlot::Watchdog,
-                )));
-                *heap_seq += 1;
+                let key = events.fresh_key();
+                events.watch.insert(key, (wi, work.id));
+                events.push(start + wd.deadline_us, key, EvSlot::Watchdog);
             }
         }
         w.pipeline_end = end;
@@ -773,8 +690,7 @@ fn dispatch_all(
             end,
             inject_panic,
         });
-        heap.push(Reverse((end, *heap_seq, wi, EvSlot::Done)));
-        *heap_seq += 1;
+        events.push(end, wi, EvSlot::Done);
     }
 }
 
@@ -827,12 +743,11 @@ mod tests {
             completions: vec![],
         };
         let cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
             trace: true,
+            ..SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative)
         };
         let inputs = vec![block(0, 0, 10), block(1, 0, 10), block(2, 0, 10)];
-        let rep = run(w, &cfg, &FixedCost(9), inputs);
+        let rep = try_run(w, &cfg, &FixedCost(9), inputs).expect("run completes");
         // Each task costs 9 + 1 (dispatch overhead) = 10.
         let ends: Vec<Time> = rep.workload.completions.iter().map(|c| c.1).collect();
         assert_eq!(ends, vec![10, 20, 30]);
@@ -850,13 +765,9 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
-        let cfg = SimConfig {
-            platform: x86_smp(4),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
+        let cfg = SimConfig::new(x86_smp(4), DispatchPolicy::NonSpeculative);
         let inputs = (0..4).map(|i| block(i, 0, 10)).collect();
-        let rep = run(w, &cfg, &FixedCost(9), inputs);
+        let rep = try_run(w, &cfg, &FixedCost(9), inputs).expect("run completes");
         assert_eq!(
             rep.metrics.makespan, 10,
             "4 tasks on 4 workers run concurrently"
@@ -870,13 +781,9 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
-        let cfg = SimConfig {
-            platform: x86_smp(4),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
+        let cfg = SimConfig::new(x86_smp(4), DispatchPolicy::NonSpeculative);
         let inputs = vec![block(0, 0, 10), block(1, 100, 10)];
-        let rep = run(w, &cfg, &FixedCost(4), inputs);
+        let rep = try_run(w, &cfg, &FixedCost(4), inputs).expect("run completes");
         let mut ends: Vec<Time> = rep.workload.completions.iter().map(|c| c.1).collect();
         ends.sort_unstable();
         assert_eq!(ends, vec![5, 105]);
@@ -891,13 +798,12 @@ mod tests {
             completions: vec![],
         };
         let cfg = SimConfig {
-            platform: x86_smp(3),
-            policy: DispatchPolicy::NonSpeculative,
             trace: true,
+            ..SimConfig::new(x86_smp(3), DispatchPolicy::NonSpeculative)
         };
         let inputs: Vec<InputBlock> = (0..16).map(|i| block(i, (i as u64) * 3, 64)).collect();
-        let a = run(mk(), &cfg, &FixedCost(7), inputs.clone());
-        let b = run(mk(), &cfg, &FixedCost(7), inputs);
+        let a = try_run(mk(), &cfg, &FixedCost(7), inputs.clone()).expect("run completes");
+        let b = try_run(mk(), &cfg, &FixedCost(7), inputs).expect("run completes");
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.metrics.makespan, b.metrics.makespan);
     }
@@ -948,11 +854,10 @@ mod tests {
             }
         }
         let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::Aggressive,
             trace: true,
+            ..SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive)
         };
-        let rep = run(AbortingWl { phase: 0 }, &cfg, &NameCost, vec![]);
+        let rep = try_run(AbortingWl { phase: 0 }, &cfg, &NameCost, vec![]).expect("run completes");
         assert_eq!(rep.metrics.tasks_discarded, 1);
         assert_eq!(rep.metrics.rollbacks, 1);
         assert!(
@@ -974,12 +879,8 @@ mod tests {
                 false
             }
         }
-        let cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let _ = run(NeverDone, &cfg, &FixedCost(1), vec![]);
+        let cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
+        let _ = try_run(NeverDone, &cfg, &FixedCost(1), vec![]).expect("run completes");
     }
 
     #[test]
@@ -1010,24 +911,18 @@ mod tests {
 
         let mut plat = x86_smp(1);
         plat.prefetch_depth = 2;
-        let cfg = SimConfig {
-            platform: plat,
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let rep = run(TwoPhase { seen: vec![] }, &cfg, &FixedCost(5), vec![]);
+        let cfg = SimConfig::new(plat, DispatchPolicy::NonSpeculative);
+        let rep =
+            try_run(TwoPhase { seen: vec![] }, &cfg, &FixedCost(5), vec![]).expect("run completes");
         assert_eq!(
             rep.workload.seen,
             vec!["a", "b", "deep"],
             "prefetched 'b' runs before 'deep'"
         );
 
-        let cfg1 = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let rep1 = run(TwoPhase { seen: vec![] }, &cfg1, &FixedCost(5), vec![]);
+        let cfg1 = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
+        let rep1 = try_run(TwoPhase { seen: vec![] }, &cfg1, &FixedCost(5), vec![])
+            .expect("run completes");
         assert_eq!(
             rep1.workload.seen,
             vec!["a", "deep", "b"],
@@ -1042,14 +937,13 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
+        let tracer = Tracer::enabled(1);
         let cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
+            tracer: tracer.clone(),
+            ..SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative)
         };
         let inputs = vec![block(0, 0, 10), block(1, 0, 10), block(2, 0, 10)];
-        let tracer = Tracer::enabled(1);
-        let rep = run_traced(w, &cfg, &FixedCost(9), inputs, tracer.clone());
+        let rep = try_run(w, &cfg, &FixedCost(9), inputs).expect("run completes");
         assert_eq!(rep.metrics.makespan, 30);
         let log = tracer.drain().expect("enabled tracer drains");
         assert_eq!(log.timebase, tvs_trace::Timebase::Virtual);
@@ -1076,13 +970,16 @@ mod tests {
             completions: vec![],
         };
         let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::NonSpeculative,
             trace: true,
+            ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
         };
         let inputs: Vec<InputBlock> = (0..8).map(|i| block(i, (i as u64) * 2, 32)).collect();
-        let plain = run(mk(), &cfg, &FixedCost(5), inputs.clone());
-        let traced = run_traced(mk(), &cfg, &FixedCost(5), inputs, Tracer::enabled(2));
+        let plain = try_run(mk(), &cfg, &FixedCost(5), inputs.clone()).expect("run completes");
+        let traced_cfg = SimConfig {
+            tracer: Tracer::enabled(2),
+            ..cfg
+        };
+        let traced = try_run(mk(), &traced_cfg, &FixedCost(5), inputs).expect("run completes");
         assert_eq!(plain.metrics, traced.metrics);
         assert_eq!(plain.trace, traced.trace);
     }
@@ -1115,12 +1012,9 @@ mod tests {
                 1 + bytes as Time / 1024
             }
         }
-        let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let rep = run(EarlyExit { done: false }, &cfg, &ByteCost, vec![]);
+        let cfg = SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative);
+        let rep =
+            try_run(EarlyExit { done: false }, &cfg, &ByteCost, vec![]).expect("run completes");
         assert!(
             rep.metrics.makespan < 100,
             "makespan {} should not wait for the straggler",
@@ -1138,9 +1032,8 @@ mod tests {
             completions: vec![],
         };
         let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::NonSpeculative,
             trace: true,
+            ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
         };
         let plan = || {
             FaultPlan::new(77)
@@ -1154,29 +1047,13 @@ mod tests {
                 )
                 .with_rule(FaultSite::Feeder, FaultKind::Stall { us: 15 }, 0.3)
         };
-        let chaos = || SimChaos {
+        let chaos = || SimConfig {
             faults: FaultInjector::new(plan()),
-            ..Default::default()
+            ..cfg.clone()
         };
         let inputs: Vec<InputBlock> = (0..12).map(|i| block(i, (i as u64) * 2, 16)).collect();
-        let a = try_run_chaos(
-            mk(),
-            &cfg,
-            &FixedCost(5),
-            inputs.clone(),
-            Tracer::disabled(),
-            &chaos(),
-        )
-        .expect("chaos run recovers");
-        let b = try_run_chaos(
-            mk(),
-            &cfg,
-            &FixedCost(5),
-            inputs,
-            Tracer::disabled(),
-            &chaos(),
-        )
-        .expect("chaos run recovers");
+        let a = try_run(mk(), &chaos(), &FixedCost(5), inputs.clone()).expect("chaos run recovers");
+        let b = try_run(mk(), &chaos(), &FixedCost(5), inputs).expect("chaos run recovers");
         assert_eq!(a.metrics, b.metrics, "chaos is replayable");
         assert_eq!(a.workload.seen, 12);
         assert_eq!(b.workload.seen, 12);
@@ -1206,19 +1083,8 @@ mod tests {
                 self.done
             }
         }
-        let cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
-        let Err(err) = try_run_chaos(
-            AlwaysPanics { done: false },
-            &cfg,
-            &FixedCost(3),
-            vec![],
-            Tracer::disabled(),
-            &SimChaos::default(),
-        ) else {
+        let cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
+        let Err(err) = try_run(AlwaysPanics { done: false }, &cfg, &FixedCost(3), vec![]) else {
             panic!("exhausted retries must fail the run");
         };
         assert!(matches!(
@@ -1266,28 +1132,18 @@ mod tests {
                 }
             }
         }
+        let tracer = Tracer::enabled(2);
         let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::Aggressive,
             trace: true,
-        };
-        let chaos = SimChaos {
+            tracer: tracer.clone(),
             watchdog: Some(WatchdogConfig {
                 deadline_us: 1_000,
                 poll_us: 100,
             }),
-            ..Default::default()
+            ..SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive)
         };
-        let tracer = Tracer::enabled(2);
-        let rep = try_run_chaos(
-            SpecOnly { fault_free: false },
-            &cfg,
-            &NameCost,
-            vec![],
-            tracer.clone(),
-            &chaos,
-        )
-        .expect("watchdog recovers the run");
+        let rep = try_run(SpecOnly { fault_free: false }, &cfg, &NameCost, vec![])
+            .expect("watchdog recovers the run");
         assert_eq!(rep.metrics.watchdog_cancels, 1);
         assert_eq!(rep.metrics.rollbacks, 1);
         assert_eq!(rep.metrics.tasks_discarded, 1);

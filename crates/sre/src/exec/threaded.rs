@@ -95,11 +95,19 @@ pub struct ThreadedConfig {
     pub supervisor: Option<SupervisorConfig>,
     /// Fault injection plan (disabled by default; see `tvs-faults`).
     pub faults: FaultInjector,
+    /// Speculation-lifecycle event sink, stamped in wall-clock µs.
+    pub tracer: Tracer,
+    /// Live metrics hub, sized for `workers` lanes. Counters, gauges and
+    /// histograms stream into it as the run executes, so a [`tvs_metrics::
+    /// Sampler`] (or `tvs-top`) can watch mid-run. Left disabled, the
+    /// executor counts into a private counters-only registry instead.
+    pub hub: MetricsHub,
 }
 
 impl ThreadedConfig {
-    /// A config with default fault handling: bounded retry, no watchdog,
-    /// no supervision, no fault injection.
+    /// A config with every optional plane off: bounded retry, no
+    /// watchdog, no supervision, no fault injection, disabled tracer and
+    /// hub.
     pub fn new(workers: usize, policy: DispatchPolicy) -> Self {
         ThreadedConfig {
             workers,
@@ -108,6 +116,8 @@ impl ThreadedConfig {
             watchdog: None,
             supervisor: None,
             faults: FaultInjector::disabled(),
+            tracer: Tracer::disabled(),
+            hub: MetricsHub::disabled(),
         }
     }
 }
@@ -481,7 +491,7 @@ fn run_attempt(fabric: &Fabric, work: &mut Dispatched) -> std::thread::Result<Pa
 
 /// Spawn one worker thread on lane `me` with incarnation `my_epoch`.
 ///
-/// Named (rather than inline in [`try_run_metered`]) because the
+/// Named (rather than inline in [`try_run`]) because the
 /// supervisor respawns quarantined workers: a replacement runs this same
 /// loop on the same lane under a fresh epoch. Every loop iteration stamps
 /// the lane's heartbeat and re-checks the lane's current epoch — an
@@ -739,72 +749,10 @@ fn spawn_worker<W: Send + 'static>(
 /// Run `workload` on `cfg.workers` real threads, feeding it the blocks
 /// yielded by `inputs` (which is consumed on a dedicated feeder thread and
 /// may block to pace arrivals, e.g. [`tvs-iosim`'s paced
-/// iterator](https://docs.rs/tvs-iosim)).
-///
-/// Returns the finished workload and the run metrics. Panics if the run
-/// fails (a non-speculative task panicking on every retry, or a runtime
-/// thread dying); use [`try_run`] to receive the [`RunError`] instead.
-pub fn run<W, I>(workload: W, cfg: &ThreadedConfig, inputs: I) -> (W, RunMetrics)
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run(workload, cfg, inputs).unwrap_or_else(|e| panic!("threaded run failed: {e}"))
-}
-
-/// [`run`] returning a structured [`RunError`] instead of panicking when
-/// the run cannot complete.
-pub fn try_run<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-) -> Result<(W, RunMetrics), RunError>
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run_traced(workload, cfg, inputs, Tracer::disabled())
-}
-
-/// [`run`], recording speculation-lifecycle events into `tracer`. Panics
-/// on a failed run; use [`try_run_traced`] for the fallible form.
-pub fn run_traced<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-    tracer: Tracer,
-) -> (W, RunMetrics)
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run_traced(workload, cfg, inputs, tracer)
-        .unwrap_or_else(|e| panic!("threaded run failed: {e}"))
-}
-
-/// [`run`] with live metrics: see [`try_run_metered`]. Panics on a
-/// failed run.
-pub fn run_metered<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-    tracer: Tracer,
-    hub: MetricsHub,
-) -> (W, RunMetrics)
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run_metered(workload, cfg, inputs, tracer, hub)
-        .unwrap_or_else(|e| panic!("threaded run failed: {e}"))
-}
-
-/// The full entry point: threaded execution with tracing and structured
-/// failure.
+/// iterator](https://docs.rs/tvs-iosim)), with the tracing, metrics and
+/// fault-handling planes `cfg` switches on. Returns the finished workload
+/// and the run metrics, or a structured [`RunError`] when the run cannot
+/// complete.
 ///
 /// Dispatch, predictor/check/commit and rollback events are emitted on the
 /// control ring (their emitters hold the commit lock, keeping that ring
@@ -816,31 +764,10 @@ where
 /// counted as wasted in [`RunMetrics`] but not flagged in the trace (the
 /// simulator's virtual trace is exact; this executor's is a per-task
 /// approximation).
-pub fn try_run_traced<W, I>(
+pub fn try_run<W, I>(
     workload: W,
     cfg: &ThreadedConfig,
     inputs: I,
-    tracer: Tracer,
-) -> Result<(W, RunMetrics), RunError>
-where
-    W: Workload + Send + 'static,
-    I: IntoIterator<Item = (usize, Arc<[u8]>)> + Send + 'static,
-    I::IntoIter: Send,
-{
-    try_run_metered(workload, cfg, inputs, tracer, MetricsHub::disabled())
-}
-
-/// [`try_run_traced`] with a live metrics hub: counters, gauges and
-/// histograms stream into `hub` as the run executes, so a sampler thread
-/// (or `tvs-top`) can watch mid-run. Pass [`MetricsHub::disabled`] to
-/// run dark — the executor then allocates an internal counters-only
-/// registry, which costs the same as the per-lane atomics it replaced.
-pub fn try_run_metered<W, I>(
-    workload: W,
-    cfg: &ThreadedConfig,
-    inputs: I,
-    tracer: Tracer,
-    hub: MetricsHub,
 ) -> Result<(W, RunMetrics), RunError>
 where
     W: Workload + Send + 'static,
@@ -848,19 +775,8 @@ where
     I::IntoIter: Send,
 {
     assert!(cfg.workers > 0, "need at least one worker");
-    let hub = if hub.has_registry() {
-        assert_eq!(
-            hub.workers(),
-            cfg.workers,
-            "metrics hub must be sized for cfg.workers lanes"
-        );
-        hub
-    } else {
-        MetricsHub::internal(cfg.workers)
-    };
-    if hub.is_live() {
-        hub.set_label(&format!("{:?}", cfg.policy));
-    }
+    let tracer = cfg.tracer.clone();
+    let hub = super::observe_run(&tracer, &cfg.hub, cfg.workers, cfg.policy);
     let fabric = Arc::new(Fabric::new(
         cfg.workers,
         tracer.clone(),
@@ -1500,7 +1416,7 @@ mod tests {
             (0..32).map(|i| (i, vec![i as u8; 100].into())).collect();
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
         let cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
-        let (w, m) = run(
+        let (w, m) = try_run(
             Summer {
                 n: 32,
                 seen: 0,
@@ -1508,7 +1424,8 @@ mod tests {
             },
             &cfg,
             blocks,
-        );
+        )
+        .expect("run completes");
         assert_eq!(w.total, expect);
         assert_eq!(m.tasks_delivered, 32);
         assert_eq!(m.tasks_discarded, 0);
@@ -1527,9 +1444,12 @@ mod tests {
     fn traced_run_records_dispatch_and_task_events() {
         let blocks: Vec<(usize, Arc<[u8]>)> =
             (0..16).map(|i| (i, vec![i as u8; 64].into())).collect();
-        let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
         let tracer = Tracer::enabled(3);
-        let (w, m) = run_traced(
+        let cfg = ThreadedConfig {
+            tracer: tracer.clone(),
+            ..ThreadedConfig::new(3, DispatchPolicy::NonSpeculative)
+        };
+        let (w, m) = try_run(
             Summer {
                 n: 16,
                 seen: 0,
@@ -1537,8 +1457,8 @@ mod tests {
             },
             &cfg,
             blocks,
-            tracer.clone(),
-        );
+        )
+        .expect("run completes");
         assert_eq!(w.seen, 16);
         assert_eq!(m.tasks_delivered, 16);
         let log = tracer.drain().expect("enabled tracer drains");
@@ -1570,7 +1490,8 @@ mod tests {
             }
         }
         let cfg = ThreadedConfig::new(2, DispatchPolicy::NonSpeculative);
-        let (_w, m) = run(Nothing, &cfg, Vec::<(usize, Arc<[u8]>)>::new());
+        let (_w, m) =
+            try_run(Nothing, &cfg, Vec::<(usize, Arc<[u8]>)>::new()).expect("run completes");
         assert_eq!(m.tasks_delivered, 0);
     }
 
@@ -1600,7 +1521,7 @@ mod tests {
         }
         let inputs: Vec<(usize, Arc<[u8]>)> = vec![(0, vec![0u8; 4].into())];
         let cfg = ThreadedConfig::new(3, DispatchPolicy::NonSpeculative);
-        let (w, m) = run(TwoStage { stage2_done: false }, &cfg, inputs);
+        let (w, m) = try_run(TwoStage { stage2_done: false }, &cfg, inputs).expect("run completes");
         assert!(w.stage2_done);
         assert_eq!(m.tasks_delivered, 2);
     }
@@ -1641,14 +1562,15 @@ mod tests {
             }
         }
         let cfg = ThreadedConfig::new(2, DispatchPolicy::Aggressive);
-        let (w, m) = run(
+        let (w, m) = try_run(
             SpecAbort {
                 normal_done: false,
                 spec_delivered: false,
             },
             &cfg,
             Vec::<(usize, Arc<[u8]>)>::new(),
-        );
+        )
+        .expect("run completes");
         assert!(w.normal_done);
         assert!(!w.spec_delivered, "aborted speculative output leaked");
         assert_eq!(m.tasks_discarded, 1);
@@ -1699,14 +1621,15 @@ mod tests {
             }
         }
         let cfg = ThreadedConfig::new(2, DispatchPolicy::Balanced);
-        let (w, m) = run(
+        let (w, m) = try_run(
             AbortFirst {
                 normal_done: false,
                 spec_delivered: false,
             },
             &cfg,
             Vec::<(usize, Arc<[u8]>)>::new(),
-        );
+        )
+        .expect("run completes");
         assert!(w.normal_done);
         assert!(!w.spec_delivered, "aborted speculative output leaked");
         assert_eq!(m.tasks_delivered, 1);
@@ -2010,7 +1933,7 @@ mod tests {
         let expect: u64 = (0..32u64).map(|i| i * 100).sum();
         let mut cfg = ThreadedConfig::new(4, DispatchPolicy::NonSpeculative);
         cfg.supervisor = Some(SupervisorConfig::default());
-        let (w, m) = run(
+        let (w, m) = try_run(
             Summer {
                 n: 32,
                 seen: 0,
@@ -2018,7 +1941,8 @@ mod tests {
             },
             &cfg,
             blocks,
-        );
+        )
+        .expect("run completes");
         assert_eq!(w.total, expect);
         assert_eq!(m.worker_respawns, 0, "healthy workers are left alone");
         assert_eq!(m.stale_completions_rejected, 0);

@@ -14,8 +14,7 @@ use crate::task::{TaskCtx, TaskId};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Why a run failed. Returned by the executors' `try_run*` entry points;
-/// the panicking `run*` wrappers turn it into a message.
+/// Why a run failed. Returned by each executor's `try_run`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// A non-speculative task panicked on every attempt the retry policy

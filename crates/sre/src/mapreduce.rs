@@ -8,7 +8,7 @@
 //! (and tests) get the paper's pipeline skeleton without rebuilding it.
 //!
 //! ```
-//! use tvs_sre::exec::sim::{run, SimConfig};
+//! use tvs_sre::exec::sim::{try_run, SimConfig};
 //! use tvs_sre::{x86_smp, DispatchPolicy, FixedCost, InputBlock, MapReduce, Summary};
 //!
 //! #[derive(Clone, Default)]
@@ -18,15 +18,11 @@
 //! }
 //!
 //! let wl = MapReduce::new(8, 4, |block: &[u8]| Sum(block.len() as u64));
-//! let cfg = SimConfig {
-//!     platform: x86_smp(4),
-//!     policy: DispatchPolicy::NonSpeculative,
-//!     trace: false,
-//! };
+//! let cfg = SimConfig::new(x86_smp(4), DispatchPolicy::NonSpeculative);
 //! let inputs: Vec<InputBlock> = (0..8)
 //!     .map(|i| InputBlock { index: i, arrival: i as u64, data: vec![0u8; 100].into() })
 //!     .collect();
-//! let report = run(wl, &cfg, &FixedCost(10), inputs);
+//! let report = try_run(wl, &cfg, &FixedCost(10), inputs).expect("run completes");
 //! assert_eq!(report.workload.result().0, 800);
 //! ```
 //!
@@ -208,7 +204,7 @@ impl<T: Summary> Workload for MapReduce<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::sim::{run, SimConfig};
+    use crate::exec::sim::{try_run, SimConfig};
     use crate::platform::{x86_smp, FixedCost};
     use crate::DispatchPolicy;
 
@@ -235,17 +231,13 @@ mod tests {
         let wl = MapReduce::new(n_blocks, ratio, |data: &[u8]| {
             Sum(data.iter().map(|&b| b as u64).sum())
         });
-        let cfg = SimConfig {
-            platform: x86_smp(workers),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
+        let cfg = SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative);
         let inputs = blocks(n_blocks, 64);
         let expect: Vec<u64> = inputs
             .iter()
             .map(|b| b.data.iter().map(|&x| x as u64).sum())
             .collect();
-        let rep = run(wl, &cfg, &FixedCost(5), inputs);
+        let rep = try_run(wl, &cfg, &FixedCost(5), inputs).expect("run completes");
         (rep.workload, expect)
     }
 
@@ -296,11 +288,10 @@ mod tests {
         let wl =
             MapReduce::new(4, 2, |d: &[u8]| Sum(d.len() as u64)).with_task_names("count", "fold");
         let cfg = SimConfig {
-            platform: x86_smp(2),
-            policy: DispatchPolicy::NonSpeculative,
             trace: true,
+            ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
         };
-        let rep = run(wl, &cfg, &NamedCost, blocks(4, 10));
+        let rep = try_run(wl, &cfg, &NamedCost, blocks(4, 10)).expect("run completes");
         assert_eq!(rep.workload.result().0, 40);
         assert!(rep.trace.iter().any(|t| t.name == "count"));
         assert!(rep.trace.iter().any(|t| t.name == "fold"));

@@ -10,9 +10,9 @@
 
 use std::sync::Arc;
 use tvs_rng::cases;
-use tvs_sre::exec::baseline::run as run_baseline;
-use tvs_sre::exec::sim::{run as run_sim, SimConfig};
-use tvs_sre::exec::threaded::{run as run_threaded, ThreadedConfig};
+use tvs_sre::exec::baseline::try_run as run_baseline;
+use tvs_sre::exec::sim::{try_run as run_sim, SimConfig};
+use tvs_sre::exec::threaded::{try_run as run_threaded, ThreadedConfig};
 use tvs_sre::policy::LaneLoads;
 use tvs_sre::queue::ReadyQueue;
 use tvs_sre::task::{payload, TaskClass, TaskSpec};
@@ -251,17 +251,16 @@ fn prop_sim_deterministic_and_exclusive() {
         let script = tvs_rng::bytes(rng, 1..100);
         let workers = rng.random_range(1..6usize);
         let cfg = SimConfig {
-            platform: x86_smp(workers),
-            policy: DispatchPolicy::NonSpeculative,
             trace: true,
+            ..SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative)
         };
         let mk = || FanOut {
             script: script.clone(),
             spawned: 0,
             seen: 0,
         };
-        let a = run_sim(mk(), &cfg, &TagCost, vec![]);
-        let b = run_sim(mk(), &cfg, &TagCost, vec![]);
+        let a = run_sim(mk(), &cfg, &TagCost, vec![]).expect("run completes");
+        let b = run_sim(mk(), &cfg, &TagCost, vec![]).expect("run completes");
         assert_eq!(&a.trace, &b.trace, "case {case}");
         assert_eq!(a.metrics.makespan, b.metrics.makespan, "case {case}");
         // Worker exclusivity.
@@ -381,13 +380,10 @@ fn prop_cross_executor_outputs_identical() {
                 data: d.clone(),
             })
             .collect();
-        let sim_cfg = SimConfig {
-            platform: x86_smp(1),
-            policy: DispatchPolicy::NonSpeculative,
-            trace: false,
-        };
+        let sim_cfg = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
         let reference = sorted(
             run_sim(TwoStage::new(n_blocks), &sim_cfg, &TagCost, sim_inputs)
+                .expect("run completes")
                 .workload
                 .results,
         );
@@ -395,11 +391,7 @@ fn prop_cross_executor_outputs_identical() {
 
         for workers in [1usize, 2, 4, 8] {
             // Simulator at this worker count.
-            let cfg = SimConfig {
-                platform: x86_smp(workers),
-                policy: DispatchPolicy::NonSpeculative,
-                trace: false,
-            };
+            let cfg = SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative);
             let sim_inputs: Vec<InputBlock> = data
                 .iter()
                 .enumerate()
@@ -411,6 +403,7 @@ fn prop_cross_executor_outputs_identical() {
                 .collect();
             let got = sorted(
                 run_sim(TwoStage::new(n_blocks), &cfg, &TagCost, sim_inputs)
+                    .expect("run completes")
                     .workload
                     .results,
             );
@@ -419,7 +412,8 @@ fn prop_cross_executor_outputs_identical() {
             // Threaded (work-stealing) and baseline executors.
             let tcfg = ThreadedConfig::new(workers, DispatchPolicy::NonSpeculative);
             let blocks: Vec<(usize, Arc<[u8]>)> = data.iter().cloned().enumerate().collect();
-            let (w, m) = run_threaded(TwoStage::new(n_blocks), &tcfg, blocks.clone());
+            let (w, m) = run_threaded(TwoStage::new(n_blocks), &tcfg, blocks.clone())
+                .expect("run completes");
             assert_eq!(
                 sorted(w.results),
                 reference,
@@ -432,7 +426,8 @@ fn prop_cross_executor_outputs_identical() {
                 "case {case}: every threaded task routes through a lane"
             );
 
-            let (w, m) = run_baseline(TwoStage::new(n_blocks), &tcfg, blocks);
+            let (w, m) =
+                run_baseline(TwoStage::new(n_blocks), &tcfg, blocks).expect("run completes");
             assert_eq!(
                 sorted(w.results),
                 reference,
@@ -490,7 +485,8 @@ fn prop_threaded_abort_never_leaks() {
                 },
                 &cfg,
                 Vec::<(usize, Arc<[u8]>)>::new(),
-            );
+            )
+            .expect("run completes");
             assert!(w.normal_done);
             assert!(
                 !w.leaked,

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use tvs_huffman::container;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_sre::exec::threaded::{run as run_threaded, ThreadedConfig};
+use tvs_sre::exec::threaded::{try_run, ThreadedConfig};
 use tvs_sre::DispatchPolicy;
 
 fn compress(data: &[u8]) -> Vec<u8> {
@@ -34,7 +34,7 @@ fn compress(data: &[u8]) -> Vec<u8> {
         .map(|n| n.get())
         .unwrap_or(4);
     let tcfg = ThreadedConfig::new(workers, cfg.policy);
-    let (workload, metrics) = run_threaded(workload, &tcfg, blocks);
+    let (workload, metrics) = try_run(workload, &tcfg, blocks).expect("threaded run completes");
     let mut result = workload.result();
     let (stream, bit_len, lengths) = result.output.take().expect("collected");
     eprintln!(

@@ -14,7 +14,8 @@
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
 use tvs_iosim::{ArrivalModel, Disk, Socket};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::run_huffman_sim_traced;
+use tvs_pipelines::runner::{run_huffman, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
 use tvs_workloads::FileKind;
 
@@ -35,7 +36,14 @@ fn run_row(
     arrival: &dyn ArrivalModel,
 ) {
     let trace_mode = std::env::var_os("TVS_TRACE").is_some();
-    let (out, trace) = run_huffman_sim_traced(data, cfg, platform, arrival, trace_mode);
+    let sim = SimConfig {
+        trace: trace_mode,
+        ..SimConfig::new(platform.clone(), cfg.policy)
+    };
+    let mut run =
+        run_huffman(data, cfg, &RunSpec::sim(sim, arrival)).expect("simulated run completes");
+    let trace = std::mem::take(&mut run.trace);
+    let out = run.into_outcome();
     let stats = out.result.spec_stats.unwrap_or_default();
     println!(
         "{label:<46} {:>9.0} {:>9} {:>5} {:>6} {:>7} {:>9.3}",

@@ -9,26 +9,32 @@
 
 use tvs_iosim::Disk;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::run_huffman_sim;
+use tvs_pipelines::runner::{run_huffman, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::{x86_smp, DispatchPolicy};
 use tvs_workloads::FileKind;
 
 fn main() {
     let data = tvs_workloads::generate_paper_sized(FileKind::Text, 42);
-    let platform = x86_smp(16);
     let disk = Disk::default();
+    let run = |cfg: &HuffmanConfig| {
+        let spec = RunSpec::sim(SimConfig::new(x86_smp(16), cfg.policy), &disk);
+        run_huffman(&data, cfg, &spec)
+            .expect("simulated run completes")
+            .into_outcome()
+    };
 
     println!("input: {} bytes of synthetic e-book text", data.len());
 
     // Baseline: the classic two-pass pipeline, no speculation.
     let base_cfg = HuffmanConfig::disk_x86(DispatchPolicy::NonSpeculative);
-    let base = run_huffman_sim(&data, &base_cfg, &platform, &disk);
+    let base = run(&base_cfg);
 
     // Speculative: guess the Huffman tree from prefix histograms, verify
     // within a 1 % compressed-size tolerance, roll back on misprediction.
     let mut spec_cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
     spec_cfg.collect_output = true;
-    let spec = run_huffman_sim(&data, &spec_cfg, &platform, &disk);
+    let spec = run(&spec_cfg);
 
     // The committed stream must decode back to the input.
     let (bytes, bits, lengths) = spec.result.output.as_ref().expect("output collected");

@@ -26,8 +26,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_sre::exec::threaded::{run_metered as run_threaded_metered, ThreadedConfig};
-use tvs_sre::{DispatchPolicy, MetricsHub, Sampler, Tracer};
+use tvs_sre::exec::threaded::{try_run, ThreadedConfig};
+use tvs_sre::{DispatchPolicy, MetricsHub, Sampler};
 use tvs_workloads::FileKind;
 
 const WORKERS: usize = 8;
@@ -130,9 +130,11 @@ fn main() {
     });
 
     let started = std::time::Instant::now();
-    let tcfg = ThreadedConfig::new(WORKERS, cfg.policy);
-    let (workload, metrics) =
-        run_threaded_metered(workload, &tcfg, rx, Tracer::disabled(), hub.clone());
+    let tcfg = ThreadedConfig {
+        hub: hub.clone(),
+        ..ThreadedConfig::new(WORKERS, cfg.policy)
+    };
+    let (workload, metrics) = try_run(workload, &tcfg, rx).expect("threaded run completes");
     reader.join().expect("reader");
     server.join().expect("server").expect("server io");
 

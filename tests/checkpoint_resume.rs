@@ -10,19 +10,20 @@
 //! must demonstrably step down under sustained misprediction (sim and
 //! threaded), and a supervised threaded run under duplicate-completion
 //! injection must take the epoch-reject path rather than double-commit.
+//! Every run goes through the one entry, `run_huffman`; the executor is
+//! just another input.
 
 use std::path::PathBuf;
 use tvs_core::{CheckpointConfig, LadderConfig, ResumeError, StreamSnapshot};
 use tvs_huffman::decode_exact;
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{
-    resume_huffman_sim, resume_huffman_threaded, run_huffman_sim, run_huffman_sim_checkpointed,
-    run_huffman_sim_events, run_huffman_threaded, run_huffman_threaded_chaos,
-    run_huffman_threaded_checkpointed, run_huffman_threaded_events, RunOutcome,
-};
+use tvs_pipelines::runner::{run_huffman, Executor, HuffmanRunError, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite};
+use tvs_sre::{
+    x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, TraceLog, Tracer,
+};
 
 /// Stationary text with a rich alphabet: speculation commits cleanly,
 /// so the committed tree — and therefore the output stream — is the
@@ -45,11 +46,41 @@ fn cfg() -> HuffmanConfig {
     c
 }
 
-fn arrival() -> Uniform {
-    Uniform {
-        gap_us: 30,
-        start_us: 0,
-    }
+const ARRIVAL: Uniform = Uniform {
+    gap_us: 30,
+    start_us: 0,
+};
+
+/// The simulator on 8 workers.
+fn sim(c: &HuffmanConfig) -> RunSpec<'static> {
+    RunSpec::sim(SimConfig::new(x86_smp(8), c.policy), &ARRIVAL)
+}
+
+fn run(data: &[u8], c: &HuffmanConfig, spec: &RunSpec) -> RunOutcome {
+    run_huffman(data, c, spec)
+        .expect("run completes")
+        .into_outcome()
+}
+
+/// Halt a checkpointed run of `spec` at its configured kill block.
+fn halt(data: &[u8], c: &HuffmanConfig, spec: &RunSpec) -> StreamSnapshot {
+    run_huffman(data, c, spec)
+        .expect("checkpointed run completes")
+        .into_snapshot()
+}
+
+/// Resume `spec` from `snap`.
+fn resume(
+    data: &[u8],
+    c: &HuffmanConfig,
+    spec: &RunSpec,
+    snap: &StreamSnapshot,
+) -> Result<RunOutcome, HuffmanRunError> {
+    let spec = RunSpec {
+        resume: Some(snap),
+        ..spec.clone()
+    };
+    run_huffman(data, c, &spec).map(|r| r.into_outcome())
 }
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -66,7 +97,7 @@ fn output_of(out: &RunOutcome) -> (&[u8], u64) {
 #[test]
 fn sim_kill_and_resume_is_byte_identical() {
     let data = stationary(64 * 1024);
-    let base = run_huffman_sim(&data, &cfg(), &x86_smp(8), &arrival());
+    let base = run(&data, &cfg(), &sim(&cfg()));
     let (base_bytes, base_bits) = output_of(&base);
     for kill_at in [8usize, 24, 48] {
         let dir = scratch_dir(&format!("sim-{kill_at}"));
@@ -76,7 +107,7 @@ fn sim_kill_and_resume_is_byte_identical() {
             dir: dir.clone(),
             halt_at_block: Some(kill_at),
         });
-        let snap = run_huffman_sim_checkpointed(&data, &c, &x86_smp(8), &arrival()).into_snapshot();
+        let snap = halt(&data, &c, &sim(&c));
         assert!(
             snap.prefix >= kill_at as u64,
             "halt fires once the committed prefix reaches the kill block"
@@ -88,7 +119,7 @@ fn sim_kill_and_resume_is_byte_identical() {
         assert_eq!(on_disk.prefix, snap.prefix);
         assert_eq!(on_disk.stream_bit_len, snap.stream_bit_len);
 
-        let resumed = resume_huffman_sim(&on_disk, &data, &cfg(), &x86_smp(8), &arrival())
+        let resumed = resume(&data, &cfg(), &sim(&cfg()), &on_disk)
             .expect("snapshot matches input and config");
         let (res_bytes, res_bits) = output_of(&resumed);
         assert_eq!(res_bits, base_bits, "kill at {kill_at}: bit length differs");
@@ -110,31 +141,45 @@ fn sim_kill_and_resume_is_byte_identical() {
 fn threaded_kill_and_resume_is_byte_identical() {
     let data = stationary(64 * 1024);
     // Cross-executor identity holds for stationary input, so the sim run
-    // is the reference for the threaded resumes too.
-    let base = run_huffman_sim(&data, &cfg(), &x86_smp(8), &arrival());
+    // is the reference for the real-thread resumes too.
+    let base = run(&data, &cfg(), &sim(&cfg()));
     let (base_bytes, base_bits) = output_of(&base);
-    let threaded = run_huffman_threaded(&data, &cfg(), 4, &arrival(), 1000);
-    assert_eq!(output_of(&threaded), (base_bytes, base_bits));
-    for kill_at in [8usize, 32] {
-        let dir = scratch_dir(&format!("thr-{kill_at}"));
-        let mut c = cfg();
-        c.checkpoint = Some(CheckpointConfig {
-            every_blocks: 4,
-            dir: dir.clone(),
-            halt_at_block: Some(kill_at),
-        });
-        let snap =
-            run_huffman_threaded_checkpointed(&data, &c, 4, &arrival(), 1000).into_snapshot();
-        assert!(snap.prefix >= kill_at as u64);
-        let resumed = resume_huffman_threaded(&snap, &data, &cfg(), 4, &arrival(), 1000)
-            .expect("snapshot matches input and config");
-        let (res_bytes, res_bits) = output_of(&resumed);
-        assert_eq!(res_bits, base_bits, "kill at {kill_at}: bit length differs");
-        assert_eq!(
-            res_bytes, base_bytes,
-            "kill at {kill_at}: resumed stream is not byte-identical"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+    let tcfg = ThreadedConfig::new(4, cfg().policy);
+    for (name, executor) in [
+        ("threaded", Executor::Threaded(tcfg.clone())),
+        ("baseline", Executor::Baseline(tcfg)),
+    ] {
+        let spec = RunSpec {
+            executor,
+            arrival: &ARRIVAL,
+            time_scale: 1000,
+            resume: None,
+        };
+        let full = run(&data, &cfg(), &spec);
+        assert_eq!(output_of(&full), (base_bytes, base_bits), "{name}");
+        for kill_at in [8usize, 32] {
+            let dir = scratch_dir(&format!("{name}-{kill_at}"));
+            let mut c = cfg();
+            c.checkpoint = Some(CheckpointConfig {
+                every_blocks: 4,
+                dir: dir.clone(),
+                halt_at_block: Some(kill_at),
+            });
+            let snap = halt(&data, &c, &spec);
+            assert!(snap.prefix >= kill_at as u64, "{name}");
+            let resumed =
+                resume(&data, &cfg(), &spec, &snap).expect("snapshot matches input and config");
+            let (res_bytes, res_bits) = output_of(&resumed);
+            assert_eq!(
+                res_bits, base_bits,
+                "{name} kill at {kill_at}: bit length differs"
+            );
+            assert_eq!(
+                res_bytes, base_bytes,
+                "{name} kill at {kill_at}: resumed stream is not byte-identical"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
@@ -148,10 +193,9 @@ fn resume_never_re_speculates() {
         dir: dir.clone(),
         halt_at_block: Some(16),
     });
-    let snap = run_huffman_sim_checkpointed(&data, &c, &x86_smp(8), &arrival()).into_snapshot();
+    let snap = halt(&data, &c, &sim(&c));
     assert!(snap.committed_version > 0, "halt implies a committed tree");
-    let resumed =
-        resume_huffman_sim(&snap, &data, &cfg(), &x86_smp(8), &arrival()).expect("resumes");
+    let resumed = resume(&data, &cfg(), &sim(&cfg()), &snap).expect("resumes");
     let stats = resumed.result.spec_stats.expect("policy speculates");
     assert_eq!(stats.predictions, 0, "resume must not predict again");
     assert_eq!(stats.rollbacks, 0, "resume must not roll back");
@@ -173,23 +217,23 @@ fn resume_rejects_mismatched_input_and_config() {
         dir: dir.clone(),
         halt_at_block: Some(8),
     });
-    let snap = run_huffman_sim_checkpointed(&data, &c, &x86_smp(8), &arrival()).into_snapshot();
+    let snap = halt(&data, &c, &sim(&c));
 
     // Wrong input bytes: one bit flipped past the committed prefix.
     let mut other = data.clone();
     let last = other.len() - 1;
     other[last] ^= 0x40;
     assert_eq!(
-        resume_huffman_sim(&snap, &other, &cfg(), &x86_smp(8), &arrival()).err(),
-        Some(ResumeError::InputMismatch)
+        resume(&other, &cfg(), &sim(&cfg()), &snap).err(),
+        Some(HuffmanRunError::Resume(ResumeError::InputMismatch))
     );
 
     // Wrong output shape: a different tolerance changes the digest.
     let mut reshaped = cfg();
     reshaped.tolerance = tvs_core::Tolerance::percent(5.0);
     assert_eq!(
-        resume_huffman_sim(&snap, &data, &reshaped, &x86_smp(8), &arrival()).err(),
-        Some(ResumeError::InputMismatch)
+        resume(&data, &reshaped, &sim(&reshaped), &snap).err(),
+        Some(HuffmanRunError::Resume(ResumeError::InputMismatch))
     );
 
     // A truncated snapshot file is a structured load error, not a panic.
@@ -204,6 +248,10 @@ fn resume_rejects_mismatched_input_and_config() {
 /// so every prediction is stale by the time its check resolves.
 fn drifting(n: usize) -> Vec<u8> {
     (0..n).map(|i| ((i / 1024) * 7 + i % 13) as u8).collect()
+}
+
+fn drain(tracer: &Tracer) -> TraceLog {
+    tracer.drain().expect("enabled tracer drains")
 }
 
 fn ladder_cfg() -> HuffmanConfig {
@@ -235,7 +283,14 @@ fn ladder_steps_down_when_the_breaker_trips_sim() {
         gap_us: 100,
         start_us: 0,
     };
-    let (out, log) = run_huffman_sim_events(&data, &ladder_cfg(), &x86_smp(8), &arrival);
+    let tracer = Tracer::enabled(8);
+    let c = ladder_cfg();
+    let sim = SimConfig {
+        tracer: tracer.clone(),
+        ..SimConfig::new(x86_smp(8), c.policy)
+    };
+    let out = run(&data, &c, &RunSpec::sim(sim, &arrival));
+    let log = drain(&tracer);
     assert!(
         log.count("breaker-trip") >= 1,
         "100% misprediction must trip the breaker"
@@ -261,7 +316,14 @@ fn ladder_steps_down_when_the_breaker_trips_threaded() {
         gap_us: 100,
         start_us: 0,
     };
-    let (out, log) = run_huffman_threaded_events(&data, &ladder_cfg(), 4, &arrival, 100);
+    let tracer = Tracer::enabled(4);
+    let c = ladder_cfg();
+    let tcfg = ThreadedConfig {
+        tracer: tracer.clone(),
+        ..ThreadedConfig::new(4, c.policy)
+    };
+    let out = run(&data, &c, &RunSpec::threaded(tcfg, &arrival, 100));
+    let log = drain(&tracer);
     let stats = out.result.spec_stats.expect("speculative policy");
     assert!(
         stats.ladder_steps >= 1,
@@ -283,7 +345,7 @@ fn supervised_run_rejects_duplicate_completions_instead_of_double_committing() {
     // in `stale_completions_rejected` — and leave the output stream
     // byte-identical to a clean run.
     let data = stationary(64 * 1024);
-    let base = run_huffman_sim(&data, &cfg(), &x86_smp(8), &arrival());
+    let base = run(&data, &cfg(), &sim(&cfg()));
     let (base_bytes, base_bits) = output_of(&base);
     let mut tcfg = ThreadedConfig::new(4, DispatchPolicy::Balanced);
     tcfg.supervisor = Some(tvs_sre::SupervisorConfig::default());
@@ -292,8 +354,10 @@ fn supervised_run_rejects_duplicate_completions_instead_of_double_committing() {
             .with_rule(FaultSite::Completion, FaultKind::DuplicateCompletion, 1.0)
             .with_max_faults(12),
     );
-    let (out, _log) = run_huffman_threaded_chaos(&data, &cfg(), &tcfg, &arrival(), 1000)
-        .expect("duplicate echoes are recoverable");
+    tcfg.tracer = Tracer::enabled(4);
+    let out = run_huffman(&data, &cfg(), &RunSpec::threaded(tcfg, &ARRIVAL, 1000))
+        .expect("duplicate echoes are recoverable")
+        .into_outcome();
     assert!(
         out.metrics.stale_completions_rejected > 0,
         "the epoch-reject path must actually be taken"

@@ -6,7 +6,8 @@
 use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolicy};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::run_huffman_sim_traced;
+use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::{x86_smp, DispatchPolicy, TaskTrace};
 
 /// Stationary text with a realistically rich alphabet (rare symbols are
@@ -15,6 +16,22 @@ fn stationary(n: usize) -> Vec<u8> {
     let mut pattern = b"etaoin shrdlu ".repeat(10);
     pattern.extend_from_slice(b"qzxjkvbw,.!?");
     (0..n).map(|i| pattern[i % pattern.len()]).collect()
+}
+
+/// A simulated run on 8 workers, one block every µs, with the per-task
+/// trace recorded.
+fn traced_run(data: &[u8], c: &HuffmanConfig) -> (RunOutcome, Vec<TaskTrace>) {
+    let sim = SimConfig {
+        trace: true,
+        ..SimConfig::new(x86_smp(8), c.policy)
+    };
+    let arrival = Uniform {
+        gap_us: 1,
+        start_us: 0,
+    };
+    let mut run = run_huffman(data, c, &RunSpec::sim(sim, &arrival)).expect("run completes");
+    let trace = std::mem::take(&mut run.trace);
+    (run.into_outcome(), trace)
 }
 
 fn count_kind(trace: &[TaskTrace], name: &str) -> usize {
@@ -43,16 +60,7 @@ fn cfg(policy: DispatchPolicy) -> HuffmanConfig {
 fn non_speculative_dfg_matches_fig2a() {
     // 64 KB / 1 KB blocks = 64 blocks; reduce 4:1 -> 16 groups; offsets 8:1.
     let data = stationary(64 * 1024);
-    let (_out, trace) = run_huffman_sim_traced(
-        &data,
-        &cfg(DispatchPolicy::NonSpeculative),
-        &x86_smp(8),
-        &Uniform {
-            gap_us: 1,
-            start_us: 0,
-        },
-        true,
-    );
+    let (_out, trace) = traced_run(&data, &cfg(DispatchPolicy::NonSpeculative));
     assert_eq!(count_kind(&trace, "count"), 64, "one count per block");
     assert_eq!(count_kind(&trace, "reduce"), 16, "reduce fan-in 4:1");
     assert_eq!(count_kind(&trace, "tree"), 1, "a single serial tree task");
@@ -99,16 +107,7 @@ fn speculative_dfg_matches_fig2b() {
     // the every-8th baseline here).
     let mut c = cfg(DispatchPolicy::Balanced);
     c.verification = VerificationPolicy::Full;
-    let (out, trace) = run_huffman_sim_traced(
-        &data,
-        &c,
-        &x86_smp(8),
-        &Uniform {
-            gap_us: 1,
-            start_us: 0,
-        },
-        true,
-    );
+    let (out, trace) = traced_run(&data, &c);
     // The natural first pass is unchanged.
     assert_eq!(count_kind(&trace, "count"), 64);
     assert_eq!(count_kind(&trace, "reduce"), 16);
@@ -157,16 +156,7 @@ fn rollback_dfg_discards_and_reissues() {
     // (or the natural path) re-encodes every block.
     let mut data = vec![b'a'; 32 * 1024];
     data.extend((0..32 * 1024u32).map(|i| 128 + (i % 100) as u8));
-    let (out, trace) = run_huffman_sim_traced(
-        &data,
-        &cfg(DispatchPolicy::Balanced),
-        &x86_smp(8),
-        &Uniform {
-            gap_us: 1,
-            start_us: 0,
-        },
-        true,
-    );
+    let (out, trace) = traced_run(&data, &cfg(DispatchPolicy::Balanced));
     assert!(out.metrics.rollbacks > 0);
     let discarded = trace.iter().filter(|t| t.discarded).count();
     let deleted = out.metrics.tasks_deleted_ready as usize;

@@ -2,11 +2,26 @@
 //! configurations.
 
 use tvs_huffman::{decode_exact, serial_encode, CodeTable};
-use tvs_iosim::{Disk, Uniform};
+use tvs_iosim::{ArrivalModel, Disk, Uniform};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim, run_huffman_threaded, RunOutcome};
-use tvs_sre::{cell_be, x86_smp, DispatchPolicy};
+use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
+use tvs_sre::exec::threaded::ThreadedConfig;
+use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
 use tvs_workloads::FileKind;
+
+/// A run on the simulator under `platform`.
+fn sim(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    platform: Platform,
+    arrival: &dyn ArrivalModel,
+) -> RunOutcome {
+    let spec = RunSpec::sim(SimConfig::new(platform, cfg.policy), arrival);
+    run_huffman(data, cfg, &spec)
+        .expect("simulated run completes")
+        .into_outcome()
+}
 
 fn decode_and_check(out: &RunOutcome, input: &[u8]) {
     let (bytes, bits, lengths) = out.result.output.as_ref().expect("output collected");
@@ -26,10 +41,10 @@ fn cfg(policy: DispatchPolicy) -> HuffmanConfig {
 fn non_speculative_equals_serial_reference_on_all_kinds() {
     for kind in FileKind::ALL {
         let data = tvs_workloads::generate(kind, 1 << 20, 11);
-        let out = run_huffman_sim(
+        let out = sim(
             &data,
             &cfg(DispatchPolicy::NonSpeculative),
-            &x86_smp(16),
+            x86_smp(16),
             &Disk::default(),
         );
         decode_and_check(&out, &data);
@@ -52,7 +67,7 @@ fn speculative_output_decodes_on_all_kinds_and_policies() {
             DispatchPolicy::Aggressive,
             DispatchPolicy::Conservative,
         ] {
-            let out = run_huffman_sim(&data, &cfg(policy), &x86_smp(16), &Disk::default());
+            let out = sim(&data, &cfg(policy), x86_smp(16), &Disk::default());
             decode_and_check(&out, &data);
         }
     }
@@ -61,10 +76,10 @@ fn speculative_output_decodes_on_all_kinds_and_policies() {
 #[test]
 fn committed_speculation_is_within_tolerance_of_optimal() {
     let data = tvs_workloads::generate(FileKind::Text, 2 << 20, 13);
-    let out = run_huffman_sim(
+    let out = sim(
         &data,
         &cfg(DispatchPolicy::Balanced),
-        &x86_smp(16),
+        x86_smp(16),
         &Disk::default(),
     );
     assert!(
@@ -87,7 +102,7 @@ fn cell_platform_runs_all_kinds() {
             collect_output: true,
             ..HuffmanConfig::disk_cell(DispatchPolicy::Balanced)
         };
-        let out = run_huffman_sim(&data, &c, &cell_be(16), &Disk::default());
+        let out = sim(&data, &c, cell_be(16), &Disk::default());
         decode_and_check(&out, &data);
     }
 }
@@ -96,10 +111,10 @@ fn cell_platform_runs_all_kinds() {
 fn simulation_is_fully_deterministic() {
     let data = tvs_workloads::generate(FileKind::Pdf, 1 << 20, 15);
     let run = || {
-        run_huffman_sim(
+        sim(
             &data,
             &cfg(DispatchPolicy::Aggressive),
-            &x86_smp(16),
+            x86_smp(16),
             &Disk::default(),
         )
     };
@@ -120,25 +135,23 @@ fn threaded_and_sim_executors_produce_identical_streams() {
         gap_us: 1,
         start_us: 0,
     };
-    let sim = run_huffman_sim(&data, &cfg(DispatchPolicy::Balanced), &x86_smp(8), &arrival);
-    let thr = run_huffman_threaded(
-        &data,
-        &cfg(DispatchPolicy::Balanced),
-        8,
-        &arrival,
-        1_000_000,
-    );
-    decode_and_check(&sim, &data);
+    let c = cfg(DispatchPolicy::Balanced);
+    let simulated = sim(&data, &c, x86_smp(8), &arrival);
+    let spec = RunSpec::threaded(ThreadedConfig::new(8, c.policy), &arrival, 1_000_000);
+    let thr = run_huffman(&data, &c, &spec)
+        .expect("threaded run completes")
+        .into_outcome();
+    decode_and_check(&simulated, &data);
     decode_and_check(&thr, &data);
 }
 
 #[test]
 fn latency_series_is_complete_and_positive() {
     let data = tvs_workloads::generate(FileKind::Bmp, 1 << 20, 17);
-    let out = run_huffman_sim(
+    let out = sim(
         &data,
         &cfg(DispatchPolicy::Balanced),
-        &x86_smp(16),
+        x86_smp(16),
         &Disk::default(),
     );
     let lat = out.latencies();
@@ -158,10 +171,10 @@ fn compression_ratios_are_plausible_per_kind() {
         .iter()
         .map(|&kind| {
             let data = tvs_workloads::generate(kind, 1 << 20, 18);
-            let out = run_huffman_sim(
+            let out = sim(
                 &data,
                 &cfg(DispatchPolicy::NonSpeculative),
-                &x86_smp(16),
+                x86_smp(16),
                 &Disk::default(),
             );
             (kind, out.result.compression_ratio())
@@ -185,10 +198,10 @@ fn compression_ratios_are_plausible_per_kind() {
 fn tiny_inputs_work_end_to_end() {
     for len in [1usize, 100, 4096, 4097, 8192] {
         let data = tvs_workloads::generate(FileKind::Text, len, 19);
-        let out = run_huffman_sim(
+        let out = sim(
             &data,
             &cfg(DispatchPolicy::Balanced),
-            &x86_smp(4),
+            x86_smp(4),
             &Disk::default(),
         );
         decode_and_check(&out, &data);

@@ -14,7 +14,9 @@ use std::time::Duration;
 use tvs_iosim::Uniform;
 use tvs_metrics::{Counter, Gauge, Hist};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim_metered, run_huffman_threaded_metered};
+use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
+use tvs_sre::exec::threaded::ThreadedConfig;
 use tvs_sre::{x86_smp, DispatchPolicy, MetricsHub, MetricsSnapshot, Sampler};
 use tvs_workloads::FileKind;
 
@@ -35,6 +37,30 @@ fn arrival() -> Uniform {
         gap_us: 2,
         start_us: 0,
     }
+}
+
+fn run(d: &[u8], c: &HuffmanConfig, spec: RunSpec) -> RunOutcome {
+    run_huffman(d, c, &spec)
+        .expect("run completes")
+        .into_outcome()
+}
+
+/// A simulated run feeding every layer's telemetry into `hub`.
+fn sim_metered(d: &[u8], c: &HuffmanConfig, hub: &MetricsHub) -> RunOutcome {
+    let sim = SimConfig {
+        hub: hub.clone(),
+        ..SimConfig::new(x86_smp(hub.workers()), c.policy)
+    };
+    run(d, c, RunSpec::sim(sim, &arrival()))
+}
+
+/// A real-thread run feeding every layer's telemetry into `hub`.
+fn threaded_metered(d: &[u8], c: &HuffmanConfig, hub: &MetricsHub) -> RunOutcome {
+    let tcfg = ThreadedConfig {
+        hub: hub.clone(),
+        ..ThreadedConfig::new(hub.workers(), c.policy)
+    };
+    run(d, c, RunSpec::threaded(tcfg, &arrival(), 1000))
 }
 
 #[test]
@@ -95,13 +121,7 @@ fn sim_virtual_snapshots_are_byte_deterministic() {
     let run = || -> String {
         let hub = MetricsHub::enabled(8);
         hub.enable_virtual_sampling(1_000);
-        let _ = run_huffman_sim_metered(
-            &d,
-            &cfg(DispatchPolicy::Aggressive),
-            &x86_smp(8),
-            &arrival(),
-            hub.clone(),
-        );
+        sim_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub);
         hub.drain_virtual_snapshots()
             .iter()
             .map(|s| s.to_json_line())
@@ -128,10 +148,14 @@ fn sim_metering_does_not_perturb_results() {
     let d = data();
     for policy in DispatchPolicy::ALL {
         let c = cfg(policy);
-        let plain = tvs_pipelines::runner::run_huffman_sim(&d, &c, &x86_smp(8), &arrival());
+        let plain = run(
+            &d,
+            &c,
+            RunSpec::sim(SimConfig::new(x86_smp(8), policy), &arrival()),
+        );
         let hub = MetricsHub::enabled(8);
         hub.enable_virtual_sampling(1_000);
-        let metered = run_huffman_sim_metered(&d, &c, &x86_smp(8), &arrival(), hub);
+        let metered = sim_metered(&d, &c, &hub);
         assert_eq!(plain.metrics, metered.metrics, "{}", policy.label());
         assert_eq!(plain.latencies(), metered.latencies(), "{}", policy.label());
     }
@@ -143,14 +167,7 @@ fn threaded_run_metrics_is_a_registry_view() {
     // reads them back, so the two can never diverge.
     let d = data();
     let hub = MetricsHub::enabled(4);
-    let out = run_huffman_threaded_metered(
-        &d,
-        &cfg(DispatchPolicy::Aggressive),
-        4,
-        &arrival(),
-        1000,
-        hub.clone(),
-    );
+    let out = threaded_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub);
     assert_eq!(
         out.metrics.lane_dispatches,
         hub.lane_counts(Counter::LaneDispatch),
@@ -184,14 +201,7 @@ fn profiler_clocks_and_lineage_gauges_populate() {
     // report — a cheap conservation invariant over the new counters.
     let d = data();
     let hub = MetricsHub::enabled(4);
-    let _ = run_huffman_threaded_metered(
-        &d,
-        &cfg(DispatchPolicy::Aggressive),
-        4,
-        &arrival(),
-        1000,
-        hub.clone(),
-    );
+    threaded_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub);
     assert!(hub.counter_total(Counter::TimeRunUs) > 0, "run clock ticks");
     assert_eq!(
         hub.counter_total(Counter::TimeRunUs) + hub.counter_total(Counter::TimeCheckUs),
@@ -200,13 +210,7 @@ fn profiler_clocks_and_lineage_gauges_populate() {
     );
 
     let hub2 = MetricsHub::enabled(8);
-    let _ = run_huffman_sim_metered(
-        &d,
-        &cfg(DispatchPolicy::Aggressive),
-        &x86_smp(8),
-        &arrival(),
-        hub2.clone(),
-    );
+    sim_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub2);
     assert_eq!(
         hub2.counter_total(Counter::TimeRunUs) + hub2.counter_total(Counter::TimeCheckUs),
         hub2.counter_total(Counter::BusyUs),
@@ -223,13 +227,7 @@ fn snapshot_jsonl_round_trips_and_prometheus_exposes_totals() {
     let d = data();
     let hub = MetricsHub::enabled(8);
     hub.enable_virtual_sampling(1_000);
-    let _ = run_huffman_sim_metered(
-        &d,
-        &cfg(DispatchPolicy::Balanced),
-        &x86_smp(8),
-        &arrival(),
-        hub.clone(),
-    );
+    sim_metered(&d, &cfg(DispatchPolicy::Balanced), &hub);
     let snaps = hub.drain_virtual_snapshots();
     assert!(!snaps.is_empty());
     for s in &snaps {

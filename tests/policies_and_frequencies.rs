@@ -4,14 +4,19 @@
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
 use tvs_iosim::Disk;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim, RunOutcome};
+use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
 use tvs_workloads::FileKind;
 
 const SEED: u64 = 2011; // the figure benches' seed
 
 fn run(data: &[u8], cfg: &HuffmanConfig, platform: &Platform) -> RunOutcome {
-    run_huffman_sim(data, cfg, platform, &Disk::default())
+    let disk = Disk::default();
+    let spec = RunSpec::sim(SimConfig::new(platform.clone(), cfg.policy), &disk);
+    run_huffman(data, cfg, &spec)
+        .expect("simulated run completes")
+        .into_outcome()
 }
 
 #[test]

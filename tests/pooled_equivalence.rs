@@ -16,11 +16,11 @@ use tvs_core::{SpecVersion, UndoLog, WaitBuffer};
 use tvs_huffman::{decode_exact, CodeTable};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim_chaos, run_huffman_threaded_chaos, RunOutcome};
+use tvs_pipelines::runner::{run_huffman, HuffmanRun, HuffmanRunError, RunSpec};
 use tvs_rng::SmallRng;
-use tvs_sre::exec::sim::SimChaos;
+use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, RunError, TraceLog};
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan};
 use tvs_workloads::FileKind;
 
 /// The `tvs-chaos` gauntlet's seed matrix — keep in sync with
@@ -148,15 +148,11 @@ fn cfg() -> HuffmanConfig {
 /// The chaos invariant (same as the `tvs-chaos` gauntlet): a run either
 /// completes with output that decodes byte-identically to the input, or
 /// fails with a structured error — never silently wrong bytes.
-fn assert_invariant(
-    res: Result<(RunOutcome, TraceLog), RunError>,
-    data: &[u8],
-    what: &str,
-    seed: u64,
-) {
+fn assert_invariant(res: Result<HuffmanRun, HuffmanRunError>, data: &[u8], what: &str, seed: u64) {
     // A structured `Err` is an allowed chaos outcome; only an Ok run must
     // round-trip exactly.
-    if let Ok((out, _)) = res {
+    if let Ok(run) = res {
+        let out = run.into_outcome();
         let (bytes, bits, lengths) = out
             .result
             .output
@@ -178,16 +174,18 @@ fn chaos_seeds_decode_byte_identically_on_both_executors() {
     };
     let c = cfg();
     for seed in SEEDS {
-        let chaos = SimChaos {
+        let sim = SimConfig {
             faults: FaultInjector::new(FaultPlan::chaos(seed)),
-            ..SimChaos::default()
+            ..SimConfig::new(x86_smp(8), c.policy)
         };
-        let sim = run_huffman_sim_chaos(&data, &c, &x86_smp(8), &arrival, &chaos);
+        let sim = run_huffman(&data, &c, &RunSpec::sim(sim, &arrival));
         assert_invariant(sim, &data, "sim", seed);
 
-        let mut tcfg = ThreadedConfig::new(4, c.policy);
-        tcfg.faults = FaultInjector::new(FaultPlan::chaos(seed));
-        let thr = run_huffman_threaded_chaos(&data, &c, &tcfg, &arrival, 1000);
+        let tcfg = ThreadedConfig {
+            faults: FaultInjector::new(FaultPlan::chaos(seed)),
+            ..ThreadedConfig::new(4, c.policy)
+        };
+        let thr = run_huffman(&data, &c, &RunSpec::threaded(tcfg, &arrival, 1000));
         assert_invariant(thr, &data, "threaded", seed);
     }
 }

@@ -13,11 +13,12 @@ use tvs_core::{BreakerConfig, SpeculationSchedule, Tolerance, VerificationPolicy
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::postmortem::{self, BundleMeta, Trigger};
-use tvs_pipelines::runner::{
-    run_huffman_sim_chaos, run_huffman_sim_events, run_huffman_threaded_events,
+use tvs_pipelines::runner::{run_huffman, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
+use tvs_sre::exec::threaded::ThreadedConfig;
+use tvs_sre::{
+    x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, TraceLog, Tracer,
 };
-use tvs_sre::exec::sim::SimChaos;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite};
 
 /// The adversarial breaker-trip scenario shared by `tvs-chaos` and
 /// `tvs-report`: continuously drifting input, zero tolerance, a tight
@@ -46,6 +47,12 @@ fn drifting() -> Vec<u8> {
         .collect()
 }
 
+/// The event log of one run of `spec`, whose config carries `tracer`.
+fn events(data: &[u8], cfg: &HuffmanConfig, spec: RunSpec, tracer: &Tracer) -> TraceLog {
+    run_huffman(data, cfg, &spec).expect("run completes");
+    tracer.drain().expect("enabled tracer drains")
+}
+
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tvs-pm-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -60,8 +67,16 @@ fn sim_breaker_trip_bundle_is_byte_deterministic() {
         gap_us: 100,
         start_us: 0,
     };
+    let sim_events = || {
+        let tracer = Tracer::enabled(8);
+        let sim = SimConfig {
+            tracer: tracer.clone(),
+            ..SimConfig::new(x86_smp(8), cfg.policy)
+        };
+        events(&data, &cfg, RunSpec::sim(sim, &slow), &tracer)
+    };
     let capture = |root: &PathBuf| {
-        let (_, log) = run_huffman_sim_events(&data, &cfg, &x86_smp(8), &slow);
+        let log = sim_events();
         assert!(log.count("breaker-trip") >= 1, "scenario must trip");
         let meta = BundleMeta::for_log(Trigger::BreakerTrip, 2011, "aggressive", &log, None);
         postmortem::write_bundle(root, &meta, &log, &[]).expect("bundle writes")
@@ -86,7 +101,7 @@ fn sim_breaker_trip_bundle_is_byte_deterministic() {
     );
     // The offline reconstruction conserves the live aggregate and
     // renders the same cascade forest as the in-memory join.
-    let (_, log) = run_huffman_sim_events(&data, &cfg, &x86_smp(8), &slow);
+    let log = sim_events();
     let bundle = postmortem::load_bundle(&a).expect("bundle reloads");
     bundle.check().expect("conservation holds");
     assert_eq!(bundle.meta.wasted_us, log.health().wasted_us);
@@ -107,7 +122,12 @@ fn threaded_breaker_trip_bundle_reconstructs_the_cascade() {
         gap_us: 100,
         start_us: 0,
     };
-    let (_, log) = run_huffman_threaded_events(&data, &cfg, 4, &slow, 1000);
+    let tracer = Tracer::enabled(4);
+    let tcfg = ThreadedConfig {
+        tracer: tracer.clone(),
+        ..ThreadedConfig::new(4, cfg.policy)
+    };
+    let log = events(&data, &cfg, RunSpec::threaded(tcfg, &slow, 1000), &tracer);
     let meta = BundleMeta::for_log(Trigger::BreakerTrip, 2012, "aggressive", &log, None);
     let root = tmp_dir("threaded");
     let path = postmortem::write_bundle(&root, &meta, &log, &[]).expect("bundle writes");
@@ -145,21 +165,22 @@ fn run_error_crash_hook_dumps_a_bundle() {
     // non-speculative fault is terminal and the run dies with a
     // structured error, which must fire the always-on capture hook.
     let plan = FaultPlan::new(77).with_rule(FaultSite::TaskBody, FaultKind::PanicTask, 1.0);
-    let chaos = SimChaos {
+    let cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
+    let chaos = SimConfig {
+        tracer: Tracer::enabled(4),
         faults: FaultInjector::new(plan),
         retry: tvs_sre::RetryPolicy {
             max_attempts: 1,
             ..Default::default()
         },
-        ..SimChaos::default()
+        ..SimConfig::new(x86_smp(4), cfg.policy)
     };
-    let cfg = HuffmanConfig::disk_x86(DispatchPolicy::Balanced);
     let arrival = Uniform {
         gap_us: 2,
         start_us: 0,
     };
     let data: Vec<u8> = (0..16 * 1024).map(|i| (i % 251) as u8).collect();
-    let res = run_huffman_sim_chaos(&data, &cfg, &x86_smp(4), &arrival, &chaos);
+    let res = run_huffman(&data, &cfg, &RunSpec::sim(chaos, &arrival));
     assert!(res.is_err(), "all-panic plan must fail the run");
     let bundle_dir = root.join("postmortem_dev_77");
     let bundle = postmortem::load_bundle(&bundle_dir)

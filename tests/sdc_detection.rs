@@ -13,8 +13,10 @@ use tvs_core::ValidationMode;
 use tvs_huffman::{decode_exact, CodeTable};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim_sdc, run_huffman_threaded_sdc, RunOutcome};
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite};
+use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
+use tvs_sre::exec::threaded::ThreadedConfig;
+use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, ReplicaStats};
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
@@ -51,6 +53,36 @@ fn decoded_matches(out: &RunOutcome, input: &[u8]) -> Result<(), String> {
     }
 }
 
+/// One run with `faults` armed on the executor and the workload: the
+/// simulator on 4 workers, or real threads with arrivals compressed 1000×.
+fn sdc_run(
+    data: &[u8],
+    c: &HuffmanConfig,
+    arrival: &Uniform,
+    faults: &FaultInjector,
+    threaded: bool,
+) -> (RunOutcome, ReplicaStats) {
+    let faults = faults.clone();
+    let spec = if threaded {
+        let tcfg = ThreadedConfig {
+            faults,
+            ..ThreadedConfig::new(4, c.policy)
+        };
+        RunSpec::threaded(tcfg, arrival, 1000)
+    } else {
+        RunSpec::sim(
+            SimConfig {
+                faults,
+                ..SimConfig::new(x86_smp(4), c.policy)
+            },
+            arrival,
+        )
+    };
+    let run = run_huffman(data, c, &spec).expect("replicated run completes");
+    let stats = run.replicas;
+    (run.into_outcome(), stats)
+}
+
 fn modes() -> [ValidationMode; 2] {
     [
         ValidationMode::Replicate { sample_rate: 1.0 },
@@ -69,8 +101,7 @@ fn sim_detects_injected_corruption_and_recovers() {
         let mut total_injected = 0;
         for seed in SEEDS {
             let faults = FaultInjector::new(FaultPlan::sdc(seed));
-            let (out, stats) =
-                run_huffman_sim_sdc(&data, &cfg(mode), &x86_smp(4), &arrival, faults.clone());
+            let (out, stats) = sdc_run(&data, &cfg(mode), &arrival, &faults, false);
             let injected = faults.injected_at(FaultSite::TaskOutput);
             total_injected += injected;
             decoded_matches(&out, &data)
@@ -104,9 +135,7 @@ fn threaded_detects_injected_corruption_and_recovers() {
         let mut total_injected = 0;
         for seed in SEEDS {
             let faults = FaultInjector::new(FaultPlan::sdc(seed));
-            let (out, stats) =
-                run_huffman_threaded_sdc(&data, &cfg(mode), 4, &arrival, 1000, faults.clone())
-                    .expect("replicated threaded run completes");
+            let (out, stats) = sdc_run(&data, &cfg(mode), &arrival, &faults, true);
             let injected = faults.injected_at(FaultSite::TaskOutput);
             total_injected += injected;
             decoded_matches(&out, &data)
@@ -134,13 +163,8 @@ fn sim_replicated_runs_are_deterministic() {
     };
     let run = |seed: u64| {
         let faults = FaultInjector::new(FaultPlan::sdc(seed));
-        run_huffman_sim_sdc(
-            &data,
-            &cfg(ValidationMode::Both { sample_rate: 1.0 }),
-            &x86_smp(4),
-            &arrival,
-            faults,
-        )
+        let c = cfg(ValidationMode::Both { sample_rate: 1.0 });
+        sdc_run(&data, &c, &arrival, &faults, false)
     };
     let (a, sa) = run(13);
     let (b, sb) = run(13);
@@ -163,13 +187,8 @@ fn tolerance_only_misses_silent_corruption() {
     let mut missed = 0;
     for seed in SEEDS {
         let faults = FaultInjector::new(FaultPlan::sdc(seed));
-        let (out, stats) = run_huffman_sim_sdc(
-            &data,
-            &cfg(ValidationMode::Tolerance),
-            &x86_smp(4),
-            &arrival,
-            faults.clone(),
-        );
+        let c = cfg(ValidationMode::Tolerance);
+        let (out, stats) = sdc_run(&data, &c, &arrival, &faults, false);
         assert_eq!(
             stats.replicas_spawned, 0,
             "tolerance mode must not replicate"

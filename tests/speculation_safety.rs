@@ -4,11 +4,25 @@
 
 use tvs_core::{SpeculationSchedule, Tolerance, ValidationMode, VerificationPolicy};
 use tvs_huffman::{decode_exact, serial_encode, CodeTable};
-use tvs_iosim::{Custom, Disk, Uniform};
+use tvs_iosim::{ArrivalModel, Custom, Disk, Uniform};
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::runner::{run_huffman_sim, RunOutcome};
+use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
 use tvs_rng::cases;
-use tvs_sre::{x86_smp, DispatchPolicy};
+use tvs_sre::exec::sim::SimConfig;
+use tvs_sre::{x86_smp, DispatchPolicy, Platform};
+
+/// A run on the simulator under `platform`.
+fn sim(
+    data: &[u8],
+    cfg: &HuffmanConfig,
+    platform: Platform,
+    arrival: &dyn ArrivalModel,
+) -> RunOutcome {
+    let spec = RunSpec::sim(SimConfig::new(platform, cfg.policy), arrival);
+    run_huffman(data, cfg, &spec)
+        .expect("simulated run completes")
+        .into_outcome()
+}
 
 fn decode_and_check(out: &RunOutcome, input: &[u8]) {
     let (bytes, bits, lengths) = out.result.output.as_ref().expect("output collected");
@@ -66,7 +80,7 @@ fn forced_rollbacks_still_produce_correct_output() {
         VerificationPolicy::Full,
         0.01,
     );
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+    let out = sim(&data, &cfg, x86_smp(8), &Disk::default());
     assert!(out.metrics.rollbacks > 0, "adversarial data must roll back");
     decode_and_check(&out, &data);
 }
@@ -75,7 +89,7 @@ fn forced_rollbacks_still_produce_correct_output() {
 fn zero_tolerance_rejects_and_recomputes_optimally() {
     let data = adversarial_data(64 * 1024);
     let cfg = small_cfg(DispatchPolicy::Balanced, 1, VerificationPolicy::Full, 0.0);
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+    let out = sim(&data, &cfg, x86_smp(8), &Disk::default());
     assert_eq!(
         out.result.committed_version, None,
         "zero tolerance cannot commit drifted trees"
@@ -97,7 +111,7 @@ fn infinite_tolerance_always_commits_first_prediction() {
         VerificationPolicy::Full,
         f64::INFINITY,
     );
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+    let out = sim(&data, &cfg, x86_smp(8), &Disk::default());
     assert_eq!(out.metrics.rollbacks, 0);
     assert_eq!(out.result.committed_version, Some(1));
     decode_and_check(&out, &data);
@@ -116,7 +130,7 @@ fn wasted_work_is_accounted_not_leaked() {
         VerificationPolicy::Full,
         0.005,
     );
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+    let out = sim(&data, &cfg, x86_smp(8), &Disk::default());
     assert!(out.metrics.rollbacks > 0);
     assert!(
         out.metrics.tasks_discarded + out.metrics.tasks_deleted_ready > 0,
@@ -144,7 +158,7 @@ fn stalled_arrivals_mid_stream_are_tolerated() {
         VerificationPolicy::baseline(),
         0.01,
     );
-    let out = run_huffman_sim(&data, &cfg, &x86_smp(4), &Custom(schedule));
+    let out = sim(&data, &cfg, x86_smp(4), &Custom(schedule));
     decode_and_check(&out, &data);
     assert!(out.completion_time() >= 500_000);
 }
@@ -158,10 +172,10 @@ fn all_blocks_arriving_at_once_work() {
         VerificationPolicy::Full,
         0.01,
     );
-    let out = run_huffman_sim(
+    let out = sim(
         &data,
         &cfg,
-        &x86_smp(8),
+        x86_smp(8),
         &Uniform {
             gap_us: 0,
             start_us: 0,
@@ -209,7 +223,7 @@ fn prop_committed_output_always_decodes() {
             })
             .collect();
         let cfg = small_cfg(policy, step, verify, tol);
-        let out = run_huffman_sim(&data, &cfg, &x86_smp(8), &Disk::default());
+        let out = sim(&data, &cfg, x86_smp(8), &Disk::default());
         // Safety: decodes to input...
         let (bytes, bits, lengths) = out.result.output.as_ref().expect("collected");
         let table = CodeTable::from_lengths(lengths);
@@ -246,7 +260,7 @@ fn prop_arbitrary_schedules_complete() {
             VerificationPolicy::Full,
             0.01,
         );
-        let out = run_huffman_sim(&data, &cfg, &x86_smp(4), &Custom(schedule));
+        let out = sim(&data, &cfg, x86_smp(4), &Custom(schedule));
         assert_eq!(out.result.blocks.len(), 32, "case {case}");
         let (bytes, bits, lengths) = out.result.output.as_ref().expect("collected");
         let table = CodeTable::from_lengths(lengths);

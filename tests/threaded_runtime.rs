@@ -5,8 +5,8 @@ use tvs_huffman::{decode_exact, serial_encode, CodeTable};
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_pipelines::runner::run_huffman_threaded;
-use tvs_sre::exec::threaded::{run as run_threaded, ThreadedConfig};
+use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
+use tvs_sre::exec::threaded::{try_run, ThreadedConfig};
 use tvs_sre::DispatchPolicy;
 use tvs_workloads::FileKind;
 
@@ -20,6 +20,18 @@ fn small_cfg(policy: DispatchPolicy) -> HuffmanConfig {
     }
 }
 
+/// A real-thread run with arrivals `gap_us` apart, unscaled.
+fn run_threaded(data: &[u8], c: &HuffmanConfig, workers: usize, gap_us: u64) -> RunOutcome {
+    let arrival = Uniform {
+        gap_us,
+        start_us: 0,
+    };
+    let spec = RunSpec::threaded(ThreadedConfig::new(workers, c.policy), &arrival, 1);
+    run_huffman(data, c, &spec)
+        .expect("threaded run completes")
+        .into_outcome()
+}
+
 fn check_output(data: &[u8], result: &tvs_pipelines::PipelineResult) {
     let (bytes, bits, lengths) = result.output.as_ref().expect("collected");
     let table = CodeTable::from_lengths(lengths);
@@ -30,16 +42,7 @@ fn check_output(data: &[u8], result: &tvs_pipelines::PipelineResult) {
 #[test]
 fn threaded_non_spec_matches_serial() {
     let data = tvs_workloads::generate(FileKind::Text, 256 * 1024, 21);
-    let out = run_huffman_threaded(
-        &data,
-        &small_cfg(DispatchPolicy::NonSpeculative),
-        4,
-        &Uniform {
-            gap_us: 0,
-            start_us: 0,
-        },
-        1,
-    );
+    let out = run_threaded(&data, &small_cfg(DispatchPolicy::NonSpeculative), 4, 0);
     check_output(&data, &out.result);
     let serial = serial_encode(&data).unwrap();
     assert_eq!(out.result.compressed_bits, serial.bit_len);
@@ -48,16 +51,7 @@ fn threaded_non_spec_matches_serial() {
 #[test]
 fn threaded_speculative_commits_and_decodes() {
     let data = tvs_workloads::generate(FileKind::Text, 256 * 1024, 22);
-    let out = run_huffman_threaded(
-        &data,
-        &small_cfg(DispatchPolicy::Balanced),
-        4,
-        &Uniform {
-            gap_us: 50,
-            start_us: 0,
-        },
-        1,
-    );
+    let out = run_threaded(&data, &small_cfg(DispatchPolicy::Balanced), 4, 50);
     check_output(&data, &out.result);
     assert!(out.result.spec_stats.is_some());
 }
@@ -71,16 +65,7 @@ fn threaded_rollbacks_are_safe() {
     let mut cfg = small_cfg(DispatchPolicy::Aggressive);
     cfg.verification = tvs_core::VerificationPolicy::Full;
     cfg.schedule = tvs_core::SpeculationSchedule::with_step(1);
-    let out = run_huffman_threaded(
-        &data,
-        &cfg,
-        8,
-        &Uniform {
-            gap_us: 20,
-            start_us: 0,
-        },
-        1,
-    );
+    let out = run_threaded(&data, &cfg, 8, 20);
     check_output(&data, &out.result);
     assert_eq!(out.result.blocks.len(), 128);
 }
@@ -91,16 +76,7 @@ fn threaded_repeated_runs_converge_to_same_content() {
     let data = tvs_workloads::generate(FileKind::Bmp, 128 * 1024, 23);
     let mut sizes = std::collections::HashSet::new();
     for _ in 0..3 {
-        let out = run_huffman_threaded(
-            &data,
-            &small_cfg(DispatchPolicy::NonSpeculative),
-            4,
-            &Uniform {
-                gap_us: 0,
-                start_us: 0,
-            },
-            1,
-        );
+        let out = run_threaded(&data, &small_cfg(DispatchPolicy::NonSpeculative), 4, 0);
         check_output(&data, &out.result);
         sizes.insert(out.result.compressed_bits);
     }
@@ -115,16 +91,7 @@ fn threaded_repeated_runs_converge_to_same_content() {
 fn worker_counts_from_one_to_sixteen() {
     let data = tvs_workloads::generate(FileKind::Text, 64 * 1024, 24);
     for workers in [1usize, 2, 16] {
-        let out = run_huffman_threaded(
-            &data,
-            &small_cfg(DispatchPolicy::Balanced),
-            workers,
-            &Uniform {
-                gap_us: 0,
-                start_us: 0,
-            },
-            1,
-        );
+        let out = run_threaded(&data, &small_cfg(DispatchPolicy::Balanced), workers, 0);
         check_output(&data, &out.result);
         assert_eq!(out.metrics.workers, workers);
     }
@@ -142,7 +109,8 @@ fn raw_executor_api_with_custom_feeder() {
         .enumerate()
         .map(|(i, c)| (i, Arc::<[u8]>::from(c)))
         .collect();
-    let (wl, metrics) = run_threaded(wl, &ThreadedConfig::new(4, cfg.policy), blocks);
+    let (wl, metrics) =
+        try_run(wl, &ThreadedConfig::new(4, cfg.policy), blocks).expect("threaded run completes");
     let result = wl.result();
     check_output(&data, &result);
     assert!(metrics.tasks_delivered > 0);

@@ -4,12 +4,10 @@
 //! enabling tracing must not change the run's results.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
-use tvs_pipelines::huffman::HuffmanWorkload;
-use tvs_pipelines::runner::{run_huffman_sim, run_huffman_sim_events, run_huffman_threaded_events};
-use tvs_sre::exec::baseline;
+use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
+use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::exec::threaded::ThreadedConfig;
 use tvs_sre::{x86_smp, DispatchPolicy, RunMetrics, TraceLog, Tracer};
 use tvs_trace::EventKind;
@@ -37,6 +35,41 @@ fn arrival() -> Uniform {
         gap_us: 2,
         start_us: 0,
     }
+}
+
+fn run(d: &[u8], c: &HuffmanConfig, spec: RunSpec) -> RunOutcome {
+    run_huffman(d, c, &spec)
+        .expect("run completes")
+        .into_outcome()
+}
+
+/// A simulated run on 8 workers, recording its event log.
+fn sim_events(d: &[u8], c: &HuffmanConfig) -> (RunOutcome, TraceLog) {
+    let tracer = Tracer::enabled(8);
+    let sim = SimConfig {
+        tracer: tracer.clone(),
+        ..SimConfig::new(x86_smp(8), c.policy)
+    };
+    let out = run(d, c, RunSpec::sim(sim, &arrival()));
+    (out, tracer.drain().expect("enabled tracer drains"))
+}
+
+/// A 4-worker real-thread run (`baseline` picks the single-lock executor),
+/// recording its event log.
+fn threaded_events(d: &[u8], c: &HuffmanConfig, baseline: bool) -> (RunOutcome, TraceLog) {
+    let tracer = Tracer::enabled(4);
+    let tcfg = ThreadedConfig {
+        tracer: tracer.clone(),
+        ..ThreadedConfig::new(4, c.policy)
+    };
+    let arrival = arrival();
+    let spec = if baseline {
+        RunSpec::baseline(tcfg, &arrival, 1000)
+    } else {
+        RunSpec::threaded(tcfg, &arrival, 1000)
+    };
+    let out = run(d, c, spec);
+    (out, tracer.drain().expect("enabled tracer drains"))
 }
 
 /// The lifecycle invariants every executor must uphold:
@@ -113,7 +146,7 @@ fn assert_lifecycle(log: &TraceLog, metrics: &RunMetrics) {
 fn sim_upholds_lifecycle_invariants_for_every_policy() {
     let d = data();
     for policy in DispatchPolicy::ALL {
-        let (out, log) = run_huffman_sim_events(&d, &cfg(policy), &x86_smp(8), &arrival());
+        let (out, log) = sim_events(&d, &cfg(policy));
         assert_lifecycle(&log, &out.metrics);
         if policy.speculates() {
             assert!(
@@ -132,8 +165,12 @@ fn tracing_does_not_perturb_sim_results() {
     let d = data();
     for policy in DispatchPolicy::ALL {
         let c = cfg(policy);
-        let plain = run_huffman_sim(&d, &c, &x86_smp(8), &arrival());
-        let (traced, _) = run_huffman_sim_events(&d, &c, &x86_smp(8), &arrival());
+        let plain = run(
+            &d,
+            &c,
+            RunSpec::sim(SimConfig::new(x86_smp(8), policy), &arrival()),
+        );
+        let (traced, _) = sim_events(&d, &c);
         assert_eq!(plain.metrics, traced.metrics, "{}", policy.label());
         assert_eq!(plain.latencies(), traced.latencies(), "{}", policy.label());
     }
@@ -142,8 +179,7 @@ fn tracing_does_not_perturb_sim_results() {
 #[test]
 fn threaded_upholds_lifecycle_invariants() {
     let d = data();
-    let (out, log) =
-        run_huffman_threaded_events(&d, &cfg(DispatchPolicy::Aggressive), 4, &arrival(), 1000);
+    let (out, log) = threaded_events(&d, &cfg(DispatchPolicy::Aggressive), false);
     assert_lifecycle(&log, &out.metrics);
     assert_eq!(log.count("task-end"), log.count("task-start"));
     assert_eq!(
@@ -156,18 +192,8 @@ fn threaded_upholds_lifecycle_invariants() {
 #[test]
 fn baseline_upholds_lifecycle_invariants() {
     let d = data();
-    let c = cfg(DispatchPolicy::Aggressive);
-    let tracer = Tracer::enabled(4);
-    let mut wl = HuffmanWorkload::new(c.clone(), d.len());
-    wl.set_tracer(tracer.clone());
-    let blocks: Vec<(usize, Arc<[u8]>)> = d
-        .chunks(c.block_bytes)
-        .enumerate()
-        .map(|(i, chunk)| (i, Arc::<[u8]>::from(chunk)))
-        .collect();
-    let tcfg = ThreadedConfig::new(4, c.policy);
-    let (_, metrics) = baseline::run_traced(wl, &tcfg, blocks, tracer.clone());
-    let log = tracer.drain().expect("enabled tracer drains");
+    let (out, log) = threaded_events(&d, &cfg(DispatchPolicy::Aggressive), true);
+    let metrics = out.metrics;
     assert_lifecycle(&log, &metrics);
     assert_eq!(
         log.count("task-end") as u64,

@@ -13,7 +13,7 @@
 
 use std::sync::{Arc, Mutex};
 use tvs_core::undo::UndoLog;
-use tvs_sre::exec::sim::{run as sim_run, SimConfig};
+use tvs_sre::exec::sim::{try_run as sim_run, SimConfig};
 use tvs_sre::exec::threaded::ThreadedConfig;
 use tvs_sre::exec::{baseline, threaded};
 use tvs_sre::task::payload;
@@ -187,34 +187,33 @@ fn assert_cascade_invariants(w: &TwoVersionCascade) {
 
 #[test]
 fn sim_second_abort_mid_cascade() {
-    let cfg = SimConfig {
-        platform: tvs_sre::x86_smp(4),
-        policy: DispatchPolicy::Aggressive,
-        trace: false,
-    };
-    let report = sim_run(TwoVersionCascade::new(), &cfg, &FixedCost(10), Vec::new());
+    let cfg = SimConfig::new(tvs_sre::x86_smp(4), DispatchPolicy::Aggressive);
+    let report =
+        sim_run(TwoVersionCascade::new(), &cfg, &FixedCost(10), Vec::new()).expect("run completes");
     assert_cascade_invariants(&report.workload);
 }
 
 #[test]
 fn baseline_second_abort_mid_cascade() {
     let cfg = ThreadedConfig::new(2, DispatchPolicy::Aggressive);
-    let (w, _) = baseline::run(
+    let (w, _) = baseline::try_run(
         TwoVersionCascade::new(),
         &cfg,
         Vec::<(usize, Arc<[u8]>)>::new(),
-    );
+    )
+    .expect("run completes");
     assert_cascade_invariants(&w);
 }
 
 #[test]
 fn threaded_second_abort_mid_cascade() {
     let cfg = ThreadedConfig::new(4, DispatchPolicy::Aggressive);
-    let (w, _) = threaded::run(
+    let (w, _) = threaded::try_run(
         TwoVersionCascade::new(),
         &cfg,
         Vec::<(usize, Arc<[u8]>)>::new(),
-    );
+    )
+    .expect("run completes");
     assert_cascade_invariants(&w);
 }
 
@@ -302,7 +301,8 @@ fn threaded_abort_lands_during_stalled_replay() {
         fault_seen: false,
     };
     let cfg = ThreadedConfig::new(4, DispatchPolicy::Aggressive);
-    let (w, m) = threaded::run(w, &cfg, Vec::<(usize, Arc<[u8]>)>::new());
+    let (w, m) =
+        threaded::try_run(w, &cfg, Vec::<(usize, Arc<[u8]>)>::new()).expect("run completes");
     assert_eq!(
         *lock_recover(&w.cells),
         vec![0i64; CELLS],
