@@ -168,7 +168,8 @@ fn render_frame(snap: &MetricsSnapshot, timeline: &[f64], plain: bool) -> String
 }
 
 /// Startup table: one deterministic metered sim run per dispatch policy,
-/// summarised from its final virtual-time snapshot.
+/// summarised from one snapshot taken after the run (its window is the
+/// whole run).
 fn policy_table(data: &[u8]) {
     println!(
         "{:<13} {:>6} {:>8} {:>7} {:>9} {:>7} {:>9}",
@@ -178,7 +179,6 @@ fn policy_table(data: &[u8]) {
         let mut cfg = HuffmanConfig::disk_x86(policy);
         cfg.schedule = tvs_core::SpeculationSchedule::with_step(0);
         let hub = MetricsHub::enabled(SIM_WORKERS);
-        hub.enable_virtual_sampling(5_000);
         let arrival = Uniform {
             gap_us: 2,
             start_us: 0,
@@ -190,19 +190,8 @@ fn policy_table(data: &[u8]) {
         let out = run_huffman(data, &cfg, &RunSpec::sim(sim, &arrival))
             .expect("simulated run completes")
             .into_outcome();
-        let snaps = hub.drain_virtual_snapshots();
-        let last = snaps.last().cloned().or_else(|| hub.snapshot());
-        let Some(s) = last else { continue };
+        let Some(s) = hub.snapshot() else { continue };
         let c = |c: Counter| s.counter(c).total;
-        let waste = {
-            let busy = c(Counter::BusyUs);
-            let wasted = c(Counter::WastedUs);
-            if busy + wasted == 0 {
-                0.0
-            } else {
-                100.0 * wasted as f64 / (busy + wasted) as f64
-            }
-        };
         println!(
             "{:<13} {:>6} {:>8} {:>7} {:>9} {:>7.1} {:>9}",
             policy.label(),
@@ -210,7 +199,7 @@ fn policy_table(data: &[u8]) {
             c(Counter::ChecksPassed) + c(Counter::ChecksFailed),
             c(Counter::Commits),
             c(Counter::Rollbacks),
-            waste,
+            100.0 * s.waste_ratio(),
             out.metrics.makespan,
         );
     }

@@ -71,15 +71,22 @@ pub enum Action {
 }
 
 /// Aggregate speculation statistics.
+///
+/// `predictions`, `checks_passed`, `checks_failed`, `replica_checks` and
+/// `sdc_detected` are read back from the manager's metrics registry
+/// ([`SpeculationManager::set_metrics`]); the other fields have no
+/// registry counter and are kept by the manager.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ManagerStats {
-    /// Predictor tasks requested.
+    /// Speculations started: predictor tasks requested plus failed-check
+    /// candidates promoted to a new version.
     pub predictions: u64,
     /// Intermediate checks requested.
     pub checks: u64,
-    /// Intermediate checks that passed.
+    /// Checks that passed, intermediate and final.
     pub checks_passed: u64,
-    /// Intermediate checks that failed (each causes a rollback).
+    /// Checks that failed, intermediate and final (each causes a
+    /// rollback).
     pub checks_failed: u64,
     /// Rollbacks (intermediate + final).
     pub rollbacks: u64,
@@ -96,11 +103,11 @@ pub struct ManagerStats {
     /// Degradation-ladder level transitions (either direction), if a
     /// ladder is configured via [`SpeculationManager::set_ladder`].
     pub ladder_steps: u64,
-    /// Replica vote sets that resolved clean, reported via
-    /// [`SpeculationManager::on_replica_result`].
+    /// Replica vote sets that resolved clean, counted by a replication
+    /// plane sharing the manager's registry.
     pub replica_checks: u64,
-    /// Silent-data-corruption detections (divergent replica digests)
-    /// reported via [`SpeculationManager::on_replica_result`].
+    /// Silent-data-corruption detections (divergent replica digests),
+    /// counted by a replication plane sharing the manager's registry.
     pub sdc_detected: u64,
 }
 
@@ -130,6 +137,8 @@ pub struct SpeculationManager<T> {
     phase: Phase<T>,
     last_basis: u64,
     final_seen: bool,
+    /// The counts without a registry counter; [`Self::stats`] fills in
+    /// the rest from `metrics`.
     stats: ManagerStats,
     rollback_hook: Option<Box<dyn FnMut(SpecVersion) + Send>>,
     tracer: Tracer,
@@ -149,7 +158,7 @@ impl<T> std::fmt::Debug for SpeculationManager<T> {
             .field("schedule", &self.schedule)
             .field("verify", &self.verify)
             .field("last_basis", &self.last_basis)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -167,7 +176,7 @@ impl<T> SpeculationManager<T> {
             stats: ManagerStats::default(),
             rollback_hook: None,
             tracer: Tracer::disabled(),
-            metrics: MetricsHub::disabled(),
+            metrics: MetricsHub::internal(0),
             breaker: None,
             ladder: None,
             lineage: Vec::new(),
@@ -223,8 +232,10 @@ impl<T> SpeculationManager<T> {
     /// the hub's control shard — no lane attribution, no contention.
     /// Rollback counters are *not* fed here — the SRE scheduler owns them
     /// (one increment per `abort_version`, with cascade depth attached).
+    /// Without a hub (or given a disabled one) the manager counts into a
+    /// private counters-only registry ([`MetricsHub::or_internal`]).
     pub fn set_metrics(&mut self, metrics: MetricsHub) {
-        self.metrics = metrics;
+        self.metrics = metrics.or_internal(0);
         self.publish_breaker_gauge();
         self.publish_ladder_gauge();
     }
@@ -316,7 +327,14 @@ impl<T> SpeculationManager<T> {
 
     /// Statistics so far.
     pub fn stats(&self) -> ManagerStats {
-        self.stats
+        ManagerStats {
+            predictions: self.metrics.counter_total(Counter::Predictions),
+            checks_passed: self.metrics.counter_total(Counter::ChecksPassed),
+            checks_failed: self.metrics.counter_total(Counter::ChecksFailed),
+            replica_checks: self.metrics.counter_total(Counter::ReplicaMatches),
+            sdc_detected: self.metrics.counter_total(Counter::SdcDetected),
+            ..self.stats
+        }
     }
 
     /// Version lifecycle introspection.
@@ -414,20 +432,15 @@ impl<T> SpeculationManager<T> {
         self.breaker_failure();
     }
 
-    /// The replication validation plane compared a task's replica votes
-    /// (see `tvs_sre::replica::ReplicatingWorkload`). A mismatch is
-    /// silent data corruption — it feeds the breaker's failure window
-    /// exactly like a loud fault, because a machine that corrupts
-    /// outputs is a machine whose speculation cannot be trusted either.
-    /// Matches are recorded for the stats only; they are routine, not
-    /// evidence of health worth closing the breaker over.
-    pub fn on_replica_result(&mut self, matched: bool) {
-        if matched {
-            self.stats.replica_checks += 1;
-        } else {
-            self.stats.sdc_detected += 1;
-            self.breaker_failure();
-        }
+    /// The replication validation plane (see
+    /// `tvs_sre::replica::ReplicatingWorkload`) detected silent data
+    /// corruption: replica digests diverged. It feeds the breaker's
+    /// failure window exactly like a loud fault, because a machine that
+    /// corrupts outputs is a machine whose speculation cannot be trusted
+    /// either. Clean votes are routine, not evidence of health worth
+    /// closing the breaker over, so they have no entry point here.
+    pub fn record_sdc(&mut self) {
+        self.breaker_failure();
     }
 
     /// A basis event completed (the `basis`-th, 1-based). Returns the
@@ -470,7 +483,6 @@ impl<T> SpeculationManager<T> {
                     let version = self.tracker.allocate(basis);
                     self.open_lineage(version, None);
                     self.phase = Phase::Pending { version };
-                    self.stats.predictions += 1;
                     self.metrics.add_control(Counter::Predictions, 1);
                     self.tracer
                         .emit_control(EventKind::PredictorFire { version, basis });
@@ -554,7 +566,6 @@ impl<T> SpeculationManager<T> {
             return;
         }
         if result.valid {
-            self.stats.checks_passed += 1;
             self.metrics.add_control(Counter::ChecksPassed, 1);
             self.tracer.emit_control(EventKind::CheckPass {
                 version,
@@ -563,7 +574,6 @@ impl<T> SpeculationManager<T> {
             self.breaker_success();
             return;
         }
-        self.stats.checks_failed += 1;
         self.metrics.add_control(Counter::ChecksFailed, 1);
         self.tracer.emit_control(EventKind::CheckFail {
             version,
@@ -610,7 +620,6 @@ impl<T> SpeculationManager<T> {
                     let v2 = self.tracker.allocate(candidate_basis);
                     self.open_lineage(v2, Some(version));
                     assert!(self.tracker.activate(v2), "fresh version cannot be aborted");
-                    self.stats.predictions += 1;
                     self.metrics.add_control(Counter::Predictions, 1);
                     self.tracer.emit_control(EventKind::VersionOpen {
                         version: v2,
@@ -746,7 +755,6 @@ impl<T> SpeculationManager<T> {
                     self.breaker_success();
                     out.push(Action::Commit { version });
                 } else {
-                    self.stats.checks_failed += 1;
                     self.metrics.add_control(Counter::ChecksFailed, 1);
                     self.tracer.emit_control(EventKind::CheckFail {
                         version,

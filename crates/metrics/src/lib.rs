@@ -29,8 +29,10 @@
 //! The hub has three construction modes: [`MetricsHub::disabled`] (no
 //! registry, all writes no-ops), [`MetricsHub::internal`] (registry
 //! allocated, counters on, clock/histogram/gauge features off — what the
-//! threaded executor uses instead of bespoke per-lane atomics, at the
-//! same cost), and [`MetricsHub::enabled`] (the full live plane).
+//! executors, scheduler, speculation manager and replication plane count
+//! into when no hub is attached, see [`MetricsHub::or_internal`]), and
+//! [`MetricsHub::enabled`] (the full live plane). The registry is the only
+//! place a count is kept: run reports such as `RunMetrics` read it back.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -447,6 +449,19 @@ impl MetricsHub {
         Self::with_mode(workers, false)
     }
 
+    /// This hub when it has a registry, else a fresh counters-only one
+    /// ([`MetricsHub::internal`]) for `workers` lanes. Every component
+    /// that keeps counts (executors, scheduler, speculation manager,
+    /// replication plane) resolves its hub through here, so a count is
+    /// always kept in a registry — the caller's, or a private one.
+    pub fn or_internal(&self, workers: usize) -> Self {
+        if self.has_registry() {
+            self.clone()
+        } else {
+            Self::internal(workers)
+        }
+    }
+
     fn with_mode(workers: usize, live: bool) -> Self {
         let shards = (0..=workers).map(|_| Shard::new()).collect();
         MetricsHub {
@@ -771,6 +786,17 @@ mod tests {
         assert_eq!(h.counter_total(Counter::Rollbacks), 1);
         assert_eq!(h.gauge_get(Gauge::BreakerState), 0, "gauges off");
         assert!(h.snapshot().is_none(), "snapshots off");
+    }
+
+    #[test]
+    fn or_internal_keeps_a_registry_and_backs_a_disabled_hub() {
+        let live = MetricsHub::enabled(2);
+        let same = live.or_internal(0);
+        same.add_control(Counter::Commits, 1);
+        assert_eq!(live.counter_total(Counter::Commits), 1, "same registry");
+        let private = MetricsHub::disabled().or_internal(3);
+        assert!(private.has_registry() && !private.is_live());
+        assert_eq!(private.workers(), 3);
     }
 
     #[test]

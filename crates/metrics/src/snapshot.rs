@@ -130,20 +130,22 @@ impl MetricsSnapshot {
     }
 
     /// Fraction of worker time wasted on discarded work during this
-    /// window: `wasted / (busy + wasted)` over the deltas, falling back
-    /// to the running totals when the window saw no work at all.
+    /// window: `wasted / busy` over the deltas, falling back to the
+    /// running totals when the window saw no busy time. The executors
+    /// count wasted µs inside busy µs, so this is the formula of
+    /// `RunMetrics::waste_ratio` and `SpecHealth::waste_ratio`.
     pub fn waste_ratio(&self) -> f64 {
         let busy = self.counter(Counter::BusyUs);
         let wasted = self.counter(Counter::WastedUs);
-        let (b, w) = if busy.delta + wasted.delta > 0 {
+        let (b, w) = if busy.delta > 0 {
             (busy.delta, wasted.delta)
         } else {
             (busy.total, wasted.total)
         };
-        if b + w == 0 {
+        if b == 0 {
             0.0
         } else {
-            w as f64 / (b + w) as f64
+            w as f64 / b as f64
         }
     }
 
@@ -384,7 +386,7 @@ mod tests {
         h.add(0, Counter::LaneDispatch, 7);
         h.add(1, Counter::Steal, 2);
         h.add_control(Counter::Commits, 3);
-        h.add(0, Counter::BusyUs, 900);
+        h.add(0, Counter::BusyUs, 1000);
         h.add(1, Counter::WastedUs, 100);
         h.gauge_set(Gauge::BreakerState, 1);
         h.gauge_max(Gauge::CascadeMax, 4);
@@ -409,7 +411,7 @@ mod tests {
         let r = snap.waste_ratio();
         assert!(
             (r - 0.1).abs() < 1e-9,
-            "900 busy + 100 wasted → 0.1, got {r}"
+            "100 wasted of 1000 busy → 0.1, got {r}"
         );
     }
 

@@ -1254,7 +1254,7 @@ impl Workload for HuffmanWorkload {
             // *detected*. Feed the breaker's failure window — sustained SDC
             // rates should degrade speculation just like sustained
             // mispredictions do.
-            self.mgr.on_replica_result(false);
+            self.mgr.record_sdc();
         }
     }
 

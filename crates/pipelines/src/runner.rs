@@ -247,6 +247,10 @@ pub fn run_huffman(
     if let Some(d) = digest {
         wl.set_input_digest(d);
     }
+    // The speculation manager reads back the replication plane's SDC
+    // counts, so the two share one registry even when the caller gave
+    // no hub.
+    let hub = hub.or_internal(0);
     wl.set_tracer(tracer.clone());
     wl.set_metrics(hub.clone());
     wl.set_fault_injector(faults.clone());

@@ -26,7 +26,6 @@ use crate::metrics::RunMetrics;
 use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
 use crate::task::{Payload, SpecVersion, TaskClass, TaskId, TaskSpec, Time};
 use crate::workload::{Completion, FaultNotice, InputBlock, SchedCtx, Workload};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tvs_faults::{FaultInjector, FaultKind, FaultSite};
@@ -39,10 +38,6 @@ struct Inner<W> {
     sched: Scheduler,
     workload: W,
     input_done: bool,
-    delivered: u64,
-    discarded: u64,
-    busy_us: Time,
-    wasted_us: Time,
     finished_at: Option<Time>,
     /// Set when a non-speculative task exhausted its retries.
     failed: Option<RunError>,
@@ -53,8 +48,6 @@ struct Shared<W> {
     cv: Condvar,
     start: Instant,
     faults: FaultInjector,
-    fault_count: AtomicU64,
-    retries: AtomicU64,
 }
 
 impl<W> Shared<W> {
@@ -116,11 +109,9 @@ fn run_attempt(faults: &FaultInjector, work: &mut Dispatched) -> std::thread::Re
 /// The baseline has no lanes or steals: each worker pops straight off the
 /// central queue, so its dispatch event carries the worker index as the
 /// "lane" and the task-end `discarded` flag is exact (the completion
-/// outcome is decided in-thread under the global lock). Per-"lane"
-/// dispatch counters in the hub attribute each dispatch to the worker that
-/// popped it — useful for live dashboards — while
-/// [`RunMetrics::lane_dispatches`] keeps its documented per-worker zeros
-/// (the baseline has no lane *binding* semantics to report).
+/// outcome is decided in-thread under the global lock). It counts no lane
+/// dispatches, so [`RunMetrics::lane_dispatches`] reads back its
+/// documented per-worker zeros.
 pub fn try_run<W, I>(
     workload: W,
     cfg: &ThreadedConfig,
@@ -143,18 +134,12 @@ where
             },
             workload,
             input_done: false,
-            delivered: 0,
-            discarded: 0,
-            busy_us: 0,
-            wasted_us: 0,
             finished_at: None,
             failed: None,
         }),
         cv: Condvar::new(),
         start: Instant::now(),
         faults: cfg.faults.clone(),
-        fault_count: AtomicU64::new(0),
-        retries: AtomicU64::new(0),
     });
 
     {
@@ -229,7 +214,6 @@ where
                     let mut inner = fault::lock_recover(&shared.inner);
                     if let Some(mut work) = inner.sched.dispatch() {
                         drop(inner);
-                        hub.add(me, Counter::LaneDispatch, 1);
                         if tracer.is_enabled() {
                             tracer.emit(
                                 me,
@@ -259,7 +243,6 @@ where
                             match run_attempt(&shared.faults, &mut work) {
                                 Ok(out) => break Ok(out),
                                 Err(_) => {
-                                    shared.fault_count.fetch_add(1, Ordering::Relaxed);
                                     hub.add(me, Counter::Faults, 1);
                                     if tracer.is_enabled() {
                                         tracer.emit(
@@ -278,7 +261,6 @@ where
                                         break Err(attempt);
                                     }
                                     attempt += 1;
-                                    shared.retries.fetch_add(1, Ordering::Relaxed);
                                     hub.add(me, Counter::Retries, 1);
                                     // Jittered per-task backoff: correlated
                                     // faults must not wake in lockstep.
@@ -299,14 +281,12 @@ where
                         hub.add(me, clock, busy);
                         hub.record(Hist::RunSliceUs, busy);
                         let mut inner = fault::lock_recover(&shared.inner);
-                        inner.busy_us += busy;
                         inner.sched.charge(work.class, busy);
                         let output = match outcome {
                             Ok(output) => output,
                             Err(attempt) => {
                                 // Reuse the misspeculation path (see the module
                                 // docs): reclaim, notify, abort or fail.
-                                inner.wasted_us += busy;
                                 hub.add(me, Counter::WastedUs, busy);
                                 if let Some(vers) = inner.sched.fault(work.id) {
                                     let Inner {
@@ -372,12 +352,9 @@ where
                         match outcome {
                             None => {}
                             Some(CompletionOutcome::Discard) => {
-                                inner.discarded += 1;
-                                inner.wasted_us += busy;
                                 hub.add(me, Counter::WastedUs, busy);
                             }
                             Some(CompletionOutcome::Deliver) => {
-                                inner.delivered += 1;
                                 let Inner {
                                     sched, workload, ..
                                 } = &mut *inner;
@@ -449,32 +426,13 @@ where
     if let Some(what) = lost {
         return Err(RunError::WorkerLost { what });
     }
-    let st = inner.sched.stats().clone();
-    let metrics = RunMetrics {
-        makespan: inner
-            .finished_at
-            .unwrap_or_else(|| shared.start.elapsed().as_micros() as Time),
-        tasks_delivered: inner.delivered,
-        tasks_discarded: inner.discarded,
-        tasks_deleted_ready: st.deleted_ready,
-        busy_us: inner.busy_us,
-        wasted_us: inner.wasted_us,
-        rollbacks: st.rollbacks,
-        workers: cfg.workers,
-        // Explicit per-worker zeros, not an empty vec: see the
-        // `RunMetrics::lane_dispatches` field docs.
-        lane_dispatches: vec![0; cfg.workers],
-        steals: 0,
-        faults: shared.fault_count.load(Ordering::Relaxed),
-        task_retries: shared.retries.load(Ordering::Relaxed),
-        watchdog_cancels: 0,
-        duplicate_completions: st.duplicate_completions,
-        replica_dispatches: st.replicas_spawned,
-        retry_backoff_us: hub.counter_total(Counter::RetryBackoffUs),
-        stale_completions_rejected: 0,
-        worker_respawns: 0,
-    };
-    Ok((inner.workload, metrics))
+    let makespan = inner
+        .finished_at
+        .unwrap_or_else(|| shared.start.elapsed().as_micros() as Time);
+    Ok((
+        inner.workload,
+        super::run_metrics(&hub, cfg.workers, makespan),
+    ))
 }
 
 #[cfg(test)]
@@ -482,7 +440,7 @@ mod tests {
     use super::*;
     use crate::policy::DispatchPolicy;
     use crate::task::payload;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
     use tvs_trace::Tracer;
 
     struct Summer {

@@ -30,7 +30,7 @@
 //! same plan, same seed, same schedule — bit-identical faults.
 
 use crate::fault::{RetryPolicy, RunError, WatchdogConfig};
-use crate::metrics::{RunMetrics, SimReport, TaskTrace};
+use crate::metrics::{SimReport, TaskTrace};
 use crate::platform::{CostModel, Platform};
 use crate::policy::DispatchPolicy;
 use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
@@ -167,7 +167,7 @@ impl SchedCtx for SimCtx<'_> {
 /// every event — including scheduler rollback/cancel events fired from
 /// inside workload callbacks — is stamped with deterministic virtual time,
 /// and task start/end events carry the exact simulated interval the task
-/// occupied its worker. The resulting [`RunMetrics`] do not depend on
+/// occupied its worker. The resulting [`crate::RunMetrics`] do not depend on
 /// which planes are on.
 ///
 /// A non-speculative task panicking on every attempt `cfg.retry` allows
@@ -209,11 +209,6 @@ pub fn try_run<W: Workload>(
         input_map.insert(i, b);
     }
 
-    let mut metrics = RunMetrics {
-        workers: cfg.platform.workers,
-        lane_dispatches: vec![0; cfg.platform.workers],
-        ..Default::default()
-    };
     let mut trace: Vec<TaskTrace> = Vec::new();
     let mut arrivals_seen = 0usize;
     let mut finished_at: Option<Time> = None;
@@ -272,7 +267,6 @@ pub fn try_run<W: Workload>(
                     .expect("Done event for an empty worker queue");
                 debug_assert_eq!(end, t);
                 let busy = end - start;
-                metrics.busy_us += busy;
                 hub.add(worker, Counter::BusyUs, busy);
                 // Profiler state clocks, in virtual time. The simulator
                 // has no steal scans or parks — a virtual worker is either
@@ -324,7 +318,6 @@ pub fn try_run<W: Workload>(
                             discarded: true,
                         });
                     }
-                    metrics.wasted_us += busy;
                     hub.add(worker, Counter::WastedUs, busy);
                 } else {
                     // Panic-isolated body execution. Retries are
@@ -344,7 +337,6 @@ pub fn try_run<W: Workload>(
                         match r {
                             Ok(out) => break Some(out),
                             Err(_) => {
-                                metrics.faults += 1;
                                 hub.add(worker, Counter::Faults, 1);
                                 if tracer.is_enabled() {
                                     tracer.emit_at(
@@ -364,7 +356,6 @@ pub fn try_run<W: Workload>(
                                     break None;
                                 }
                                 attempt += 1;
-                                metrics.task_retries += 1;
                                 hub.add(worker, Counter::Retries, 1);
                             }
                         }
@@ -384,7 +375,6 @@ pub fn try_run<W: Workload>(
                                     discarded: true,
                                 });
                             }
-                            metrics.wasted_us += busy;
                             hub.add(worker, Counter::WastedUs, busy);
                             if let Some(vers) = sched.fault(work.id) {
                                 let mut ctx = SimCtx {
@@ -510,7 +500,6 @@ pub fn try_run<W: Workload>(
                     Some(CompletionOutcome::Discard) => {
                         // The version died while the completion was held
                         // back; its already-produced output is dropped.
-                        metrics.wasted_us += busy;
                         hub.add_control(Counter::WastedUs, busy);
                     }
                     Some(CompletionOutcome::Deliver) => {
@@ -538,7 +527,6 @@ pub fn try_run<W: Workload>(
                 if let Some((wi, id)) = events.watch.remove(&aux) {
                     if let Some(a) = workers[wi].assigned.iter().find(|a| a.work.id == id) {
                         TaskCtx::signal_abort(&a.work.ctx.abort_flag());
-                        metrics.watchdog_cancels += 1;
                         hub.add_control(Counter::WatchdogCancels, 1);
                         if tracer.is_enabled() {
                             tracer.emit_at(
@@ -575,18 +563,9 @@ pub fn try_run<W: Workload>(
         );
     }
 
-    let st = sched.stats();
-    metrics.makespan = finished_at.unwrap_or(last_event_time);
-    metrics.tasks_delivered = st.delivered;
-    metrics.tasks_discarded = st.discarded;
-    metrics.tasks_deleted_ready = st.deleted_ready;
-    metrics.rollbacks = st.rollbacks;
-    metrics.duplicate_completions = st.duplicate_completions;
-    metrics.replica_dispatches = st.replicas_spawned;
-    // retry_backoff_us stays 0: the simulator retries instantaneously.
-    // Final snapshot view over the hub's shards — the sim's analogue of
-    // the threaded executor's per-lane counters lives there now.
-    metrics.lane_dispatches = hub.lane_counts(Counter::LaneDispatch);
+    // retry_backoff_us reads 0: the simulator retries instantaneously.
+    let makespan = finished_at.unwrap_or(last_event_time);
+    let metrics = super::run_metrics(&hub, cfg.platform.workers, makespan);
     // Flush any virtual-sampling boundary the last event crossed exactly.
     hub.virtual_tick(last_event_time);
 

@@ -200,8 +200,7 @@ struct Fabric {
     /// single-writer); worker-side events go to each worker's own ring.
     tracer: Tracer,
     /// Telemetry registry — *always* backed by a registry here (at least
-    /// [`MetricsHub::internal`]): its sharded cells replace the bespoke
-    /// lane-dispatch/steal/fault atomics this struct used to carry, so
+    /// [`MetricsHub::internal`]): it is the run's only count store, so
     /// [`RunMetrics`] and live snapshots read the same cells and nothing
     /// is counted twice.
     hub: MetricsHub,
@@ -371,16 +370,12 @@ impl Fabric {
     }
 }
 
-/// Scheduler + workload + run counters: everything behind the commit lock.
+/// Scheduler + workload + run state: everything behind the commit lock.
 /// Workers never touch this; only the feeder and the router do.
 struct Inner<W> {
     sched: Scheduler,
     workload: W,
     input_done: bool,
-    delivered: u64,
-    discarded: u64,
-    busy_us: Time,
-    wasted_us: Time,
     finished_at: Option<Time>,
     /// Set when a non-speculative task exhausted its retries: the run is
     /// failing with this error. Shutdown proceeds through the normal done
@@ -796,10 +791,6 @@ where
         },
         workload,
         input_done: false,
-        delivered: 0,
-        discarded: 0,
-        busy_us: 0,
-        wasted_us: 0,
         finished_at: None,
         failed: None,
     }));
@@ -1041,8 +1032,6 @@ where
                                 // manager replays undo journals), then abort
                                 // the version through the regular rollback.
                                 let busy = finished.saturating_sub(started);
-                                inner.busy_us += busy;
-                                inner.wasted_us += busy;
                                 fabric.hub.add_control(Counter::BusyUs, busy);
                                 fabric.hub.add_control(Counter::WastedUs, busy);
                                 inner.sched.charge(class, busy);
@@ -1099,18 +1088,14 @@ where
                                     _ => {}
                                 }
                                 let busy = finished.saturating_sub(started);
-                                inner.busy_us += busy;
                                 fabric.hub.add_control(Counter::BusyUs, busy);
                                 inner.sched.charge(class, busy);
                                 match inner.sched.try_complete(id) {
                                     None => {}
                                     Some(CompletionOutcome::Discard) => {
-                                        inner.discarded += 1;
-                                        inner.wasted_us += busy;
                                         fabric.hub.add_control(Counter::WastedUs, busy);
                                     }
                                     Some(CompletionOutcome::Deliver) => {
-                                        inner.delivered += 1;
                                         let Inner {
                                             sched, workload, ..
                                         } = inner;
@@ -1351,30 +1336,11 @@ where
     if let Some(what) = lost {
         return Err(RunError::WorkerLost { what });
     }
-    let st = inner.sched.stats().clone();
-    // RunMetrics is a final snapshot view over the hub's cells: the lane
-    // dispatch/steal/fault counts exist in exactly one place.
-    let metrics = RunMetrics {
-        makespan: inner.finished_at.unwrap_or_else(|| fabric.now()),
-        tasks_delivered: inner.delivered,
-        tasks_discarded: inner.discarded,
-        tasks_deleted_ready: st.deleted_ready,
-        busy_us: inner.busy_us,
-        wasted_us: inner.wasted_us,
-        rollbacks: st.rollbacks,
-        workers: cfg.workers,
-        lane_dispatches: hub.lane_counts(Counter::LaneDispatch),
-        steals: hub.counter_total(Counter::Steal),
-        faults: hub.counter_total(Counter::Faults),
-        task_retries: hub.counter_total(Counter::Retries),
-        watchdog_cancels: hub.counter_total(Counter::WatchdogCancels),
-        duplicate_completions: st.duplicate_completions,
-        replica_dispatches: st.replicas_spawned,
-        retry_backoff_us: hub.counter_total(Counter::RetryBackoffUs),
-        stale_completions_rejected: hub.counter_total(Counter::StaleCompletionsRejected),
-        worker_respawns: hub.counter_total(Counter::WorkerRespawns),
-    };
-    Ok((inner.workload, metrics))
+    let makespan = inner.finished_at.unwrap_or_else(|| fabric.now());
+    Ok((
+        inner.workload,
+        super::run_metrics(&hub, cfg.workers, makespan),
+    ))
 }
 
 #[cfg(test)]

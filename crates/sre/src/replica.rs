@@ -105,6 +105,9 @@ impl ValidationMode {
 pub type DigestFn = Arc<dyn Fn(&'static str, &dyn Any) -> Option<u64> + Send + Sync>;
 
 /// Counters of the replication plane, readable after a run.
+/// `replica_matches`, `sdc_detected` and `sdc_resolved` are read back from
+/// the plane's metrics registry ([`ReplicatingWorkload::set_metrics`]);
+/// the others have no registry counter and are kept here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
     /// Primary completions held for a replica vote.
@@ -208,6 +211,8 @@ struct Plane {
     tracked: HashMap<TaskId, Pending>,
     flights: HashMap<TaskId, Flight>,
     replica_of: HashMap<TaskId, TaskId>,
+    /// The counts without a registry counter; `ReplicatingWorkload::stats`
+    /// fills in the rest from `hub`.
     stats: ReplicaStats,
     tracer: Tracer,
     hub: MetricsHub,
@@ -347,12 +352,10 @@ impl Plane {
         done: Completion,
     ) -> Routing {
         if flight.detected {
-            self.stats.sdc_resolved += 1;
             self.tracer
                 .emit_control(EventKind::SdcResolved { id: primary });
             self.hub.add_control(Counter::SdcResolved, 1);
         } else {
-            self.stats.replica_matches += 1;
             self.tracer
                 .emit_control(EventKind::ReplicaMatch { id: primary });
             self.hub.add_control(Counter::ReplicaMatches, 1);
@@ -396,7 +399,6 @@ impl Plane {
         let first = !flight.detected;
         flight.detected = true;
         if first {
-            self.stats.sdc_detected += 1;
             self.tracer.emit_control(EventKind::SdcDetected {
                 id: primary,
                 version,
@@ -472,7 +474,8 @@ impl Plane {
         let Some(inj) = &self.injector else { return };
         let injected = inj.injected_at(FaultSite::TaskOutput);
         // No corruptions injected means nothing to miss: recall 100 %.
-        let recall = (self.stats.sdc_detected.min(injected) * 1000)
+        let detected = self.hub.counter_total(Counter::SdcDetected);
+        let recall = (detected.min(injected) * 1000)
             .checked_div(injected)
             .unwrap_or(1000);
         self.hub.gauge_set(Gauge::SdcRecallPermille, recall);
@@ -526,7 +529,7 @@ impl<W: Workload> ReplicatingWorkload<W> {
                 replica_of: HashMap::new(),
                 stats: ReplicaStats::default(),
                 tracer: Tracer::disabled(),
-                hub: MetricsHub::disabled(),
+                hub: MetricsHub::internal(0),
                 injector: None,
             },
         }
@@ -538,8 +541,10 @@ impl<W: Workload> ReplicatingWorkload<W> {
     }
 
     /// Export replication counters and the recall gauge through `hub`.
+    /// Without one (or given a disabled one) the plane counts into a
+    /// private counters-only registry ([`MetricsHub::or_internal`]).
     pub fn set_metrics(&mut self, hub: MetricsHub) {
-        self.plane.hub = hub;
+        self.plane.hub = hub.or_internal(0);
     }
 
     /// Let the plane compute detection recall against this injector's
@@ -555,7 +560,13 @@ impl<W: Workload> ReplicatingWorkload<W> {
 
     /// The plane's counters so far.
     pub fn stats(&self) -> ReplicaStats {
-        self.plane.stats
+        let hub = &self.plane.hub;
+        ReplicaStats {
+            replica_matches: hub.counter_total(Counter::ReplicaMatches),
+            sdc_detected: hub.counter_total(Counter::SdcDetected),
+            sdc_resolved: hub.counter_total(Counter::SdcResolved),
+            ..self.plane.stats
+        }
     }
 
     /// The validation mode this wrapper runs under.
@@ -778,7 +789,12 @@ mod tests {
         assert!(w.is_finished());
         assert_eq!(w.inner().total, 60);
         assert_eq!(w.stats(), ReplicaStats::default());
-        assert_eq!(ctx.sched.stats().replicas_spawned, 0);
+        assert_eq!(
+            ctx.sched
+                .metrics()
+                .counter_total(Counter::ReplicaDispatches),
+            0
+        );
     }
 
     #[test]
@@ -801,7 +817,12 @@ mod tests {
         assert_eq!(s.replicas_spawned, 3);
         assert_eq!(s.replica_matches, 3);
         assert_eq!(s.sdc_detected, 0);
-        assert_eq!(ctx.sched.stats().replicas_spawned, 3);
+        assert_eq!(
+            ctx.sched
+                .metrics()
+                .counter_total(Counter::ReplicaDispatches),
+            3
+        );
     }
 
     /// A workload whose single task returns a corrupt value on its first

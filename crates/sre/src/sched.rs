@@ -51,29 +51,18 @@ pub enum CompletionOutcome {
 }
 
 #[derive(Debug, Default, Clone)]
-/// Scheduler-side counters (merged into [`crate::RunMetrics`] by executors).
+/// Scheduler-side counts that have no [`Counter`]. The lifecycle counts
+/// (delivered, discarded, deleted-ready, rollbacks, duplicates, replica
+/// dispatches) live only in the scheduler's metrics registry
+/// ([`Scheduler::metrics`]).
 pub struct SchedStats {
     /// Tasks spawned successfully.
     pub spawned: u64,
     /// Spawn attempts rejected because their version was already aborted.
     pub spawn_rejected: u64,
-    /// Ready tasks deleted by rollbacks before ever running.
-    pub deleted_ready: u64,
-    /// Version aborts performed.
-    pub rollbacks: u64,
-    /// Tasks whose completion was discarded.
-    pub discarded: u64,
-    /// Tasks delivered.
-    pub delivered: u64,
     /// Tasks whose body panicked (caught by the executor) or that the
     /// watchdog cancelled; their slot was reclaimed via [`Scheduler::fault`].
     pub faulted: u64,
-    /// Duplicate completion deliveries tolerated (injected echoes that
-    /// [`Scheduler::try_complete`] absorbed).
-    pub duplicate_completions: u64,
-    /// Replica tasks spawned for replication-based validation
-    /// (`TaskSpec::replica_of` set).
-    pub replicas_spawned: u64,
 }
 
 struct Running {
@@ -119,17 +108,24 @@ impl Scheduler {
             stats: SchedStats::default(),
             loads: LaneLoads::default(),
             tracer,
-            metrics: MetricsHub::disabled(),
+            metrics: MetricsHub::internal(0),
         }
     }
 
     /// Attach a metrics hub. The scheduler is the single feed for the
     /// lifecycle counters every executor shares (delivered / discarded /
-    /// deleted-ready / rollbacks / duplicates) plus the check-latency and
-    /// block-service histograms, so the counts can't diverge between
-    /// executors or get double-counted.
+    /// deleted-ready / rollbacks / duplicates / replica dispatches) plus
+    /// the check-latency and block-service histograms, so the counts
+    /// can't diverge between executors or get double-counted. Without a
+    /// hub (or given a disabled one) it counts into a private
+    /// counters-only registry ([`MetricsHub::or_internal`]).
     pub fn set_metrics(&mut self, metrics: MetricsHub) {
-        self.metrics = metrics;
+        self.metrics = metrics.or_internal(0);
+    }
+
+    /// The registry holding the scheduler's lifecycle counts.
+    pub fn metrics(&self) -> &MetricsHub {
+        &self.metrics
     }
 
     /// The active dispatch policy.
@@ -158,7 +154,6 @@ impl Scheduler {
         let id = self.next_id;
         self.next_id += 1;
         if let Some(of) = spec.replica_of {
-            self.stats.replicas_spawned += 1;
             self.metrics.add_control(Counter::ReplicaDispatches, 1);
             self.tracer
                 .emit_control(EventKind::ReplicaDispatch { id, of });
@@ -244,7 +239,6 @@ impl Scheduler {
             .running
             .remove(&id)
             .expect("cancel_bound() called for a task that is not running");
-        self.stats.deleted_ready += 1;
         self.metrics.add_control(Counter::DeletedReady, 1);
         self.tracer.emit_control(EventKind::CancelReady {
             id,
@@ -308,7 +302,6 @@ impl Scheduler {
         let r = match self.running.remove(&id) {
             Some(r) => r,
             None => {
-                self.stats.duplicate_completions += 1;
                 self.metrics.add_control(Counter::DuplicateCompletions, 1);
                 return None;
             }
@@ -322,11 +315,9 @@ impl Scheduler {
             .map(|v| self.aborted.contains(&v))
             .unwrap_or(false);
         Some(if aborted {
-            self.stats.discarded += 1;
             self.metrics.add_control(Counter::TasksDiscarded, 1);
             CompletionOutcome::Discard
         } else {
-            self.stats.delivered += 1;
             self.metrics.add_control(Counter::TasksDelivered, 1);
             CompletionOutcome::Deliver
         })
@@ -351,13 +342,11 @@ impl Scheduler {
         if !self.aborted.insert(version) {
             return 0; // already aborted; idempotent
         }
-        self.stats.rollbacks += 1;
         self.metrics.add_control(Counter::Rollbacks, 1);
         let victims = self.queue.remove_version(version);
         for id in &victims {
             self.bodies.remove(id);
         }
-        self.stats.deleted_ready += victims.len() as u64;
         self.metrics
             .add_control(Counter::DeletedReady, victims.len() as u64);
         self.metrics
@@ -379,7 +368,7 @@ impl Scheduler {
         self.aborted.contains(&version)
     }
 
-    /// Scheduler counters.
+    /// Scheduler counts that have no registry counter.
     pub fn stats(&self) -> &SchedStats {
         &self.stats
     }
@@ -403,6 +392,10 @@ mod tests {
         TaskSpec::speculative(name, 0, 0, v, 0, |_| payload(()))
     }
 
+    fn count(s: &Scheduler, c: Counter) -> u64 {
+        s.metrics().counter_total(c)
+    }
+
     #[test]
     fn spawn_dispatch_complete_cycle() {
         let mut s = Scheduler::new(DispatchPolicy::Balanced);
@@ -416,7 +409,7 @@ mod tests {
         assert_eq!(s.running_len(), 1);
         assert_eq!(s.complete(id), CompletionOutcome::Deliver);
         assert!(s.is_idle());
-        assert_eq!(s.stats().delivered, 1);
+        assert_eq!(count(&s, Counter::TasksDelivered), 1);
     }
 
     #[test]
@@ -427,11 +420,11 @@ mod tests {
         s.spawn(spec_task("other", 6)).unwrap();
         assert_eq!(s.abort_version(5), 2);
         assert_eq!(s.ready_len(), 1);
-        assert_eq!(s.stats().deleted_ready, 2);
-        assert_eq!(s.stats().rollbacks, 1);
+        assert_eq!(count(&s, Counter::DeletedReady), 2);
+        assert_eq!(count(&s, Counter::Rollbacks), 1);
         // idempotent
         assert_eq!(s.abort_version(5), 0);
-        assert_eq!(s.stats().rollbacks, 1);
+        assert_eq!(count(&s, Counter::Rollbacks), 1);
     }
 
     #[test]
@@ -443,7 +436,7 @@ mod tests {
         s.abort_version(9);
         assert!(d.ctx.aborted(), "in-flight task must see the abort flag");
         assert_eq!(s.complete(id), CompletionOutcome::Discard);
-        assert_eq!(s.stats().discarded, 1);
+        assert_eq!(count(&s, Counter::TasksDiscarded), 1);
     }
 
     #[test]
@@ -492,7 +485,7 @@ mod tests {
         assert_eq!(s.fault(id), None);
         assert_eq!(s.stats().faulted, 1);
         assert_eq!(s.try_complete(id), None);
-        assert_eq!(s.stats().duplicate_completions, 1);
+        assert_eq!(count(&s, Counter::DuplicateCompletions), 1);
     }
 
     #[test]
@@ -502,8 +495,8 @@ mod tests {
         let _d = s.dispatch().unwrap();
         assert_eq!(s.try_complete(id), Some(CompletionOutcome::Deliver));
         assert_eq!(s.try_complete(id), None, "echo is absorbed");
-        assert_eq!(s.stats().delivered, 1);
-        assert_eq!(s.stats().duplicate_completions, 1);
+        assert_eq!(count(&s, Counter::TasksDelivered), 1);
+        assert_eq!(count(&s, Counter::DuplicateCompletions), 1);
     }
 
     #[test]
@@ -541,9 +534,9 @@ mod tests {
                 version: 5
             }));
         // Idempotent re-abort emits nothing new.
-        let before = s.stats().rollbacks;
+        let before = count(&s, Counter::Rollbacks);
         s.abort_version(5);
-        assert_eq!(s.stats().rollbacks, before);
+        assert_eq!(count(&s, Counter::Rollbacks), before);
         assert_eq!(tracer.drain().unwrap().events.len(), 0);
     }
 
@@ -554,7 +547,7 @@ mod tests {
         let mut s = Scheduler::with_tracer(DispatchPolicy::Balanced, tracer.clone());
         let primary = s.spawn(reg("count", 0)).unwrap();
         let replica = s.spawn(reg("count", 0).as_replica_of(primary)).unwrap();
-        assert_eq!(s.stats().replicas_spawned, 1);
+        assert_eq!(count(&s, Counter::ReplicaDispatches), 1);
         assert_eq!(s.stats().spawned, 2);
         let d1 = s.dispatch().unwrap();
         let d2 = s.dispatch().unwrap();

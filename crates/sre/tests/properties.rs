@@ -9,6 +9,7 @@
 //! exactly.
 
 use std::sync::Arc;
+use tvs_metrics::Counter;
 use tvs_rng::cases;
 use tvs_sre::exec::baseline::try_run as run_baseline;
 use tvs_sre::exec::sim::{try_run as run_sim, SimConfig};
@@ -183,10 +184,18 @@ fn prop_scheduler_conserves_tasks() {
             s.complete(d.id);
             completed += 1;
         }
-        let st = s.stats();
-        assert_eq!(st.spawned, spawned, "case {case}");
-        assert_eq!(completed, st.delivered + st.discarded, "case {case}");
-        assert_eq!(spawned, completed + st.deleted_ready, "case {case}");
+        let count = |c| s.metrics().counter_total(c);
+        assert_eq!(s.stats().spawned, spawned, "case {case}");
+        assert_eq!(
+            completed,
+            count(Counter::TasksDelivered) + count(Counter::TasksDiscarded),
+            "case {case}"
+        );
+        assert_eq!(
+            spawned,
+            completed + count(Counter::DeletedReady),
+            "case {case}"
+        );
         assert!(s.is_idle(), "case {case}");
     });
 }

@@ -5,8 +5,10 @@
 //!   equals exactly what the incrementers wrote.
 //! * The deterministic simulator's virtual-time snapshots are
 //!   byte-deterministic: the same seed yields an identical JSONL stream.
-//! * RunMetrics is a view of the registry (no double counting): the
-//!   threaded executor's per-lane dispatch counts come from the hub.
+//! * RunMetrics is a view of the registry (no double counting): on every
+//!   executor each of its counts is the hub's cell, and the manager's
+//!   check counts agree with the registry and the event log.
+//! * The snapshot waste ratio uses the `RunMetrics` formula.
 //! * Snapshot JSONL round-trips losslessly, and the Prometheus exposition
 //!   carries the totals.
 
@@ -17,7 +19,7 @@ use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
 use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, MetricsHub, MetricsSnapshot, Sampler};
+use tvs_sre::{x86_smp, DispatchPolicy, MetricsHub, MetricsSnapshot, RunMetrics, Sampler, Tracer};
 use tvs_workloads::FileKind;
 
 fn data() -> Vec<u8> {
@@ -161,35 +163,121 @@ fn sim_metering_does_not_perturb_results() {
     }
 }
 
-#[test]
-fn threaded_run_metrics_is_a_registry_view() {
-    // Satellite 3: lane dispatches/steals live in the hub only; RunMetrics
-    // reads them back, so the two can never diverge.
-    let d = data();
-    let hub = MetricsHub::enabled(4);
-    let out = threaded_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub);
+/// Every count field of `metrics` is the registry's cell of the same
+/// name: the registry is the only store.
+fn assert_registry_view(what: &str, m: &RunMetrics, hub: &MetricsHub) {
+    let fields = [
+        (m.tasks_delivered, Counter::TasksDelivered),
+        (m.tasks_discarded, Counter::TasksDiscarded),
+        (m.tasks_deleted_ready, Counter::DeletedReady),
+        (m.busy_us, Counter::BusyUs),
+        (m.wasted_us, Counter::WastedUs),
+        (m.rollbacks, Counter::Rollbacks),
+        (m.steals, Counter::Steal),
+        (m.faults, Counter::Faults),
+        (m.task_retries, Counter::Retries),
+        (m.watchdog_cancels, Counter::WatchdogCancels),
+        (m.duplicate_completions, Counter::DuplicateCompletions),
+        (m.replica_dispatches, Counter::ReplicaDispatches),
+        (m.retry_backoff_us, Counter::RetryBackoffUs),
+        (
+            m.stale_completions_rejected,
+            Counter::StaleCompletionsRejected,
+        ),
+        (m.worker_respawns, Counter::WorkerRespawns),
+    ];
+    for (field, c) in fields {
+        assert_eq!(field, hub.counter_total(c), "{what}: {}", c.name());
+    }
     assert_eq!(
-        out.metrics.lane_dispatches,
+        m.lane_dispatches,
         hub.lane_counts(Counter::LaneDispatch),
-        "RunMetrics lane dispatches are the hub's cells"
+        "{what}: lane dispatches are the hub's cells"
     );
-    assert_eq!(out.metrics.steals, hub.counter_total(Counter::Steal));
-    assert_eq!(
-        out.metrics.tasks_delivered,
-        hub.counter_total(Counter::TasksDelivered)
+    assert!(m.tasks_delivered > 0, "{what}: the run delivered tasks");
+}
+
+#[test]
+fn run_metrics_is_a_registry_view() {
+    let d = data();
+    let c = cfg(DispatchPolicy::Aggressive);
+    for executor in ["sim", "threaded", "baseline"] {
+        let hub = MetricsHub::enabled(4);
+        let out = match executor {
+            "sim" => sim_metered(&d, &c, &hub),
+            "threaded" => threaded_metered(&d, &c, &hub),
+            _ => {
+                let tcfg = ThreadedConfig {
+                    hub: hub.clone(),
+                    ..ThreadedConfig::new(hub.workers(), c.policy)
+                };
+                run(&d, &c, RunSpec::baseline(tcfg, &arrival(), 1000))
+            }
+        };
+        assert_registry_view(executor, &out.metrics, &hub);
+        // Manager counters flowed into the same registry.
+        let stats = out.result.spec_stats.expect("speculative run");
+        assert_eq!(stats.predictions, hub.counter_total(Counter::Predictions));
+        assert_eq!(
+            stats.checks_passed,
+            hub.counter_total(Counter::ChecksPassed)
+        );
+        assert_eq!(
+            stats.checks_failed,
+            hub.counter_total(Counter::ChecksFailed)
+        );
+        // The workload published its encode-pool gauges.
+        let a = out.result.alloc_stats;
+        assert_eq!(hub.gauge_get(Gauge::AllocHeap), a.heap_allocs, "{executor}");
+        assert_eq!(hub.gauge_get(Gauge::AllocReuse), a.reuses, "{executor}");
+    }
+}
+
+#[test]
+fn checks_passed_has_one_definition() {
+    // A committing run passes its final check. The manager's stats, the
+    // registry and the event log must all count that pass.
+    let d = tvs_workloads::generate(FileKind::Text, 64 * 1024, 7);
+    let c = cfg(DispatchPolicy::Balanced);
+    let hub = MetricsHub::enabled(4);
+    let tracer = Tracer::enabled(4);
+    let sim = SimConfig {
+        hub: hub.clone(),
+        tracer: tracer.clone(),
+        ..SimConfig::new(x86_smp(4), c.policy)
+    };
+    let out = run(&d, &c, RunSpec::sim(sim, &arrival()));
+    assert!(
+        out.result.committed_version.is_some(),
+        "stationary text commits"
     );
-    assert_eq!(out.metrics.rollbacks, hub.counter_total(Counter::Rollbacks));
-    // Manager counters flowed into the same registry.
     let stats = out.result.spec_stats.expect("speculative run");
-    assert_eq!(stats.predictions, hub.counter_total(Counter::Predictions));
+    let health = tracer.drain().expect("enabled tracer drains").health();
+    assert!(stats.checks_passed > 0);
     assert_eq!(
-        stats.checks_failed,
-        hub.counter_total(Counter::ChecksFailed)
+        stats.checks_passed,
+        hub.counter_total(Counter::ChecksPassed)
     );
-    // The workload published its encode-pool gauges.
-    let a = out.result.alloc_stats;
-    assert_eq!(hub.gauge_get(Gauge::AllocHeap), a.heap_allocs);
-    assert_eq!(hub.gauge_get(Gauge::AllocReuse), a.reuses);
+    assert_eq!(stats.checks_passed, health.checks_passed);
+    assert_eq!(stats.checks_failed, health.checks_failed);
+}
+
+#[test]
+fn snapshot_waste_ratio_matches_run_metrics() {
+    // The executors count wasted µs inside busy µs; the `/metrics` waste
+    // ratio must use the same formula as `RunMetrics`. A snapshot taken
+    // once after the run has the whole run as its window.
+    let d = data();
+    let hub = MetricsHub::enabled(8);
+    let out = sim_metered(&d, &cfg(DispatchPolicy::Aggressive), &hub);
+    assert!(out.metrics.rollbacks > 0, "the fixture rolls back");
+    assert!(out.metrics.wasted_us > 0, "the rollback wasted work");
+    let snap = hub.snapshot().expect("live hub");
+    let (a, b) = (snap.waste_ratio(), out.metrics.waste_ratio());
+    assert!((a - b).abs() < 1e-12, "snapshot {a} vs RunMetrics {b}");
+    assert!(snap
+        .to_prometheus()
+        .contains(&format!("tvs_waste_ratio {b}\n")));
 }
 
 #[test]

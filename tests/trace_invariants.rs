@@ -1,15 +1,22 @@
 //! Cross-executor speculation-lifecycle invariants: whatever executor ran
 //! the pipeline, the drained event log must agree with the run's
-//! [`RunMetrics`], every opened version must resolve exactly once, and
-//! enabling tracing must not change the run's results.
+//! `RunMetrics` and with every count the metrics registry keeps, every
+//! opened version must resolve exactly once, and enabling tracing must not
+//! change the run's results. The event log is the registry's independent
+//! cross-check: the two are fed by different code at the same sites.
 
 use std::collections::HashMap;
+use tvs_core::ValidationMode;
 use tvs_iosim::Uniform;
+use tvs_metrics::Counter;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
 use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, RunMetrics, TraceLog, Tracer};
+use tvs_sre::{
+    x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, MetricsHub, TraceLog,
+    Tracer, WatchdogConfig,
+};
 use tvs_trace::EventKind;
 use tvs_workloads::FileKind;
 
@@ -43,23 +50,52 @@ fn run(d: &[u8], c: &HuffmanConfig, spec: RunSpec) -> RunOutcome {
         .into_outcome()
 }
 
+/// What a recorded run leaves behind: its outcome, its event log and the
+/// registry every layer counted into.
+struct Recorded {
+    out: RunOutcome,
+    log: TraceLog,
+    hub: MetricsHub,
+}
+
 /// A simulated run on 8 workers, recording its event log.
-fn sim_events(d: &[u8], c: &HuffmanConfig) -> (RunOutcome, TraceLog) {
-    let tracer = Tracer::enabled(8);
+fn sim_events(d: &[u8], c: &HuffmanConfig) -> Recorded {
+    sim_events_with(d, c, SimConfig::new(x86_smp(8), c.policy))
+}
+
+/// [`sim_events`] on the given config (its fault planes kept).
+fn sim_events_with(d: &[u8], c: &HuffmanConfig, sim: SimConfig) -> Recorded {
+    let tracer = Tracer::enabled(sim.platform.workers);
+    let hub = MetricsHub::internal(sim.platform.workers);
     let sim = SimConfig {
         tracer: tracer.clone(),
-        ..SimConfig::new(x86_smp(8), c.policy)
+        hub: hub.clone(),
+        ..sim
     };
     let out = run(d, c, RunSpec::sim(sim, &arrival()));
-    (out, tracer.drain().expect("enabled tracer drains"))
+    let log = tracer.drain().expect("enabled tracer drains");
+    Recorded { out, log, hub }
 }
 
 /// A 4-worker real-thread run (`baseline` picks the single-lock executor),
 /// recording its event log.
-fn threaded_events(d: &[u8], c: &HuffmanConfig, baseline: bool) -> (RunOutcome, TraceLog) {
+fn threaded_events(d: &[u8], c: &HuffmanConfig, baseline: bool) -> Recorded {
+    threaded_events_with(d, c, baseline, FaultInjector::disabled())
+}
+
+/// [`threaded_events`] with `faults` armed on the executor and pipeline.
+fn threaded_events_with(
+    d: &[u8],
+    c: &HuffmanConfig,
+    baseline: bool,
+    faults: FaultInjector,
+) -> Recorded {
     let tracer = Tracer::enabled(4);
+    let hub = MetricsHub::internal(4);
     let tcfg = ThreadedConfig {
         tracer: tracer.clone(),
+        hub: hub.clone(),
+        faults,
         ..ThreadedConfig::new(4, c.policy)
     };
     let arrival = arrival();
@@ -69,7 +105,8 @@ fn threaded_events(d: &[u8], c: &HuffmanConfig, baseline: bool) -> (RunOutcome, 
         RunSpec::threaded(tcfg, &arrival, 1000)
     };
     let out = run(d, c, spec);
-    (out, tracer.drain().expect("enabled tracer drains"))
+    let log = tracer.drain().expect("enabled tracer drains");
+    Recorded { out, log, hub }
 }
 
 /// The lifecycle invariants every executor must uphold:
@@ -81,7 +118,10 @@ fn threaded_events(d: &[u8], c: &HuffmanConfig, baseline: bool) -> (RunOutcome, 
 /// 2. Trace rollbacks match `metrics.rollbacks`.
 /// 3. Cascade depths account for the scheduler's ready-queue deletions:
 ///    `sum(cascade_depth) + count(cancel-ready) == tasks_deleted_ready`.
-fn assert_lifecycle(log: &TraceLog, metrics: &RunMetrics) {
+/// 4. Every count kept both by the registry and by the event log agrees
+///    (see [`assert_counts_match_events`]).
+fn assert_lifecycle(r: &Recorded) {
+    let (log, metrics) = (&r.log, &r.out.metrics);
     assert_eq!(log.dropped, 0, "rings must not overflow in tests");
     assert_eq!(
         log.dropped_per_worker.len(),
@@ -140,17 +180,86 @@ fn assert_lifecycle(log: &TraceLog, metrics: &RunMetrics) {
         metrics.tasks_deleted_ready,
         "cascade depths + bound cancellations account for deleted-ready tasks"
     );
+    assert_counts_match_events(r);
+}
+
+/// The registry against its independent, event-derived cross-check
+/// (`SpecHealth` and raw event counts), one pair per shared count.
+/// Predictions count every speculation started: a predictor fire, or a
+/// failed check's candidate promoted to a child version (a lineage opened
+/// below depth 0).
+fn assert_counts_match_events(r: &Recorded) {
+    let (log, hub) = (&r.log, &r.hub);
+    let h = log.health();
+    let mut promoted = 0u64;
+    let mut undo_entries = 0u64;
+    for e in &log.events {
+        match &e.kind {
+            EventKind::LineageOpen { depth, .. } if *depth > 0 => promoted += 1,
+            EventKind::UndoReplay { entries, .. } => undo_entries += entries,
+            _ => {}
+        }
+    }
+    let n = |c| hub.counter_total(c);
+    let pairs = [
+        (
+            "executed tasks vs task-end",
+            n(Counter::TasksDelivered) + n(Counter::TasksDiscarded),
+            log.count("task-end") as u64,
+        ),
+        (
+            "predictions vs predictor fires + promotions",
+            n(Counter::Predictions),
+            h.predictor_fires + promoted,
+        ),
+        ("checks passed", n(Counter::ChecksPassed), h.checks_passed),
+        ("checks failed", n(Counter::ChecksFailed), h.checks_failed),
+        ("commits", n(Counter::Commits), h.commits),
+        ("rollbacks", n(Counter::Rollbacks), h.rollbacks),
+        ("steals", n(Counter::Steal), h.steals),
+        ("faults", n(Counter::Faults), h.faults),
+        (
+            "watchdog cancels",
+            n(Counter::WatchdogCancels),
+            h.watchdog_cancels,
+        ),
+        (
+            "replica dispatches",
+            n(Counter::ReplicaDispatches),
+            h.replica_dispatches,
+        ),
+        (
+            "replica matches",
+            n(Counter::ReplicaMatches),
+            h.replica_matches,
+        ),
+        ("sdc detected", n(Counter::SdcDetected), h.sdc_detected),
+        ("sdc resolved", n(Counter::SdcResolved), h.sdc_resolved),
+        (
+            "undo entries replayed",
+            n(Counter::UndoReplays),
+            undo_entries,
+        ),
+        (
+            "worker respawns",
+            n(Counter::WorkerRespawns),
+            h.worker_respawns,
+        ),
+    ];
+    for (what, registry, events) in pairs {
+        assert_eq!(registry, events, "{what}: registry vs event log");
+    }
 }
 
 #[test]
 fn sim_upholds_lifecycle_invariants_for_every_policy() {
     let d = data();
     for policy in DispatchPolicy::ALL {
-        let (out, log) = sim_events(&d, &cfg(policy));
-        assert_lifecycle(&log, &out.metrics);
+        let r = sim_events(&d, &cfg(policy));
+        assert_lifecycle(&r);
         if policy.speculates() {
             assert!(
-                log.health().versions_opened > 0,
+                r.log.health().versions_opened > 0,
                 "{}: speculation must actually run",
                 policy.label()
             );
@@ -170,7 +279,7 @@ fn tracing_does_not_perturb_sim_results() {
             &c,
             RunSpec::sim(SimConfig::new(x86_smp(8), policy), &arrival()),
         );
-        let (traced, _) = sim_events(&d, &c);
+        let traced = sim_events(&d, &c).out;
         assert_eq!(plain.metrics, traced.metrics, "{}", policy.label());
         assert_eq!(plain.latencies(), traced.latencies(), "{}", policy.label());
     }
@@ -179,30 +288,66 @@ fn tracing_does_not_perturb_sim_results() {
 #[test]
 fn threaded_upholds_lifecycle_invariants() {
     let d = data();
-    let (out, log) = threaded_events(&d, &cfg(DispatchPolicy::Aggressive), false);
-    assert_lifecycle(&log, &out.metrics);
-    assert_eq!(log.count("task-end"), log.count("task-start"));
-    assert_eq!(
-        log.count("task-end") as u64,
-        out.metrics.tasks_delivered + out.metrics.tasks_discarded,
-        "every executed task leaves a span"
-    );
+    let r = threaded_events(&d, &cfg(DispatchPolicy::Aggressive), false);
+    assert_lifecycle(&r);
+    assert_eq!(r.log.count("task-end"), r.log.count("task-start"));
 }
 
 #[test]
 fn baseline_upholds_lifecycle_invariants() {
     let d = data();
-    let (out, log) = threaded_events(&d, &cfg(DispatchPolicy::Aggressive), true);
-    let metrics = out.metrics;
-    assert_lifecycle(&log, &metrics);
+    let r = threaded_events(&d, &cfg(DispatchPolicy::Aggressive), true);
+    assert_lifecycle(&r);
     assert_eq!(
-        log.count("task-end") as u64,
-        metrics.tasks_delivered + metrics.tasks_discarded,
-        "every executed task leaves a span"
-    );
-    assert_eq!(
-        log.count("steal"),
+        r.log.count("steal"),
         0,
         "the baseline has no lanes to steal from"
     );
+}
+
+#[test]
+fn chaos_counts_agree_with_events_on_every_executor() {
+    // Injected panics, stalls, delayed and duplicated completions,
+    // corrupted predictions and corrupted encode outputs under
+    // replication: the counts a clean run leaves at zero (faults,
+    // watchdog cancels, replica votes, SDC) must agree with the event log
+    // as well.
+    let d = data();
+    let mut c = cfg(DispatchPolicy::Aggressive);
+    c.validation = ValidationMode::Both { sample_rate: 1.0 };
+    let plan = || {
+        FaultInjector::new(FaultPlan::chaos(7).with_rule(
+            FaultSite::TaskOutput,
+            FaultKind::CorruptValue,
+            0.2,
+        ))
+    };
+    let sim = SimConfig {
+        faults: plan(),
+        watchdog: Some(WatchdogConfig {
+            deadline_us: 300,
+            poll_us: 0,
+        }),
+        ..SimConfig::new(x86_smp(8), c.policy)
+    };
+    let runs = [
+        ("sim", sim_events_with(&d, &c, sim)),
+        ("threaded", threaded_events_with(&d, &c, false, plan())),
+        ("baseline", threaded_events_with(&d, &c, true, plan())),
+    ];
+    for (what, r) in &runs {
+        assert_lifecycle(r);
+        let h = r.log.health();
+        assert!(h.faults > 0, "{what}: chaos injected panics");
+        assert!(h.replica_dispatches > 0, "{what}: replication ran");
+        // The manager's replica view reads the same registry.
+        let stats = r.out.result.spec_stats.expect("speculative run");
+        assert_eq!(stats.sdc_detected, h.sdc_detected, "{what}");
+        assert_eq!(stats.replica_checks, h.replica_matches, "{what}");
+    }
+    // The simulator's fault draws are deterministic: its run also
+    // exercises the watchdog and SDC pairs.
+    let sim = runs[0].1.log.health();
+    assert!(sim.watchdog_cancels > 0, "sim: the watchdog fired");
+    assert!(sim.sdc_detected > 0, "sim: a corruption was detected");
 }
