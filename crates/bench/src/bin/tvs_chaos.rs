@@ -8,7 +8,11 @@
 //! that decodes byte-identically to the input (the fault-free result) or
 //! fails with a structured error — never a process crash, never
 //! silently wrong bytes. Simulated runs must additionally reproduce
-//! exactly when re-run with the same seed.
+//! exactly when re-run with the same seed. The three iterative apps
+//! (filter, k-means, annealing) run the same matrix on their shared
+//! driver: each completed run's outputs must equal the kernel on the used
+//! model ([`IterativeResult::verify`]), and a failed run must have a task
+//! that exhausted its retries.
 //!
 //! A final adversarial run — continuously drifting input on which every
 //! prediction mispredicts — must trip the speculation circuit breaker
@@ -26,12 +30,19 @@ use tvs_core::{
 };
 use tvs_huffman::{decode_exact, CodeTable};
 use tvs_iosim::Uniform;
+use tvs_pipelines::annealing::AnnealConfig;
 use tvs_pipelines::config::HuffmanConfig;
+use tvs_pipelines::filter::FilterConfig;
+use tvs_pipelines::iterative::{self, IterativeResult, Solver};
+use tvs_pipelines::kmeans::KMeansConfig;
 use tvs_pipelines::postmortem;
-use tvs_pipelines::runner::{run_huffman, HuffmanRunError, RunEnd, RunOutcome, RunSpec};
+use tvs_pipelines::runner::{run_huffman, Executor, HuffmanRunError, RunEnd, RunOutcome, RunSpec};
 use tvs_sre::exec::sim::SimConfig;
 use tvs_sre::exec::threaded::ThreadedConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, TraceLog, Tracer};
+use tvs_sre::{
+    x86_smp, DispatchPolicy, FaultInjector, FaultPlan, FaultSite, RunError, RunMetrics, TraceLog,
+    Tracer,
+};
 use tvs_workloads::FileKind;
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
@@ -153,6 +164,78 @@ fn check_invariant(
     }
 }
 
+/// Blocks per iterative-app chaos run, one every 8 µs.
+const ITER_BLOCKS: usize = 64;
+
+/// One iterative-app run of `solver` under `FaultPlan::chaos(seed)` on
+/// `exec` (the same executors as the Huffman rows).
+fn run_iterative<S: Solver>(
+    solver: &S,
+    exec: &str,
+    seed: u64,
+) -> Result<(IterativeResult<S>, RunMetrics), RunError> {
+    let policy = solver.speculation().0;
+    let faults = FaultInjector::new(FaultPlan::chaos(seed));
+    let exec = if exec == "sim" {
+        Executor::Sim(SimConfig {
+            faults,
+            ..SimConfig::new(x86_smp(8), policy)
+        })
+    } else {
+        Executor::Threaded(ThreadedConfig {
+            faults,
+            ..ThreadedConfig::new(WORKERS, policy)
+        })
+    };
+    iterative::run(solver, &exec, iterative::inputs::<S>(ITER_BLOCKS, 8))
+}
+
+/// The chaos invariant for one iterative-app run. Returns a short status
+/// cell, or `Err(reason)` on a violation.
+fn check_iterative<S: Solver>(
+    solver: &S,
+    res: Result<(IterativeResult<S>, RunMetrics), RunError>,
+) -> Result<String, String> {
+    match res {
+        Ok((r, m)) => r
+            .verify(solver, &iterative::inputs::<S>(ITER_BLOCKS, 8))
+            .map(|()| format!("ok ({} faults, {} rollbacks)", m.faults, m.rollbacks)),
+        Err(e @ RunError::TaskFailed { .. }) => Ok(format!("structured error: {e}")),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// The iterative-app rows of the chaos table for one app: every seed on
+/// the simulator (re-run for determinism) and on real threads. Returns
+/// the violation count.
+fn iterative_rows<S: Solver>(app: &str, solver: &S) -> u32 {
+    let mut violations = 0;
+    for seed in SEEDS {
+        let first = run_iterative(solver, "sim", seed);
+        let repeat_differs = first != run_iterative(solver, "sim", seed);
+        let sim_cell = match check_iterative(solver, first) {
+            Ok(s) if repeat_differs => {
+                violations += 1;
+                format!("VIOLATION: nondeterministic replay ({s})")
+            }
+            Ok(s) => s,
+            Err(e) => {
+                violations += 1;
+                format!("VIOLATION: {e}")
+            }
+        };
+        let thr_cell = match check_iterative(solver, run_iterative(solver, "threaded", seed)) {
+            Ok(s) => s,
+            Err(e) => {
+                violations += 1;
+                format!("VIOLATION: {e}")
+            }
+        };
+        println!("{seed:<6} {app:<10} {sim_cell:<40} {thr_cell:<40}");
+    }
+    violations
+}
+
 /// Byte-identity check for the SDC matrix (no trace log involved).
 fn decode_exactly(out: &RunOutcome, data: &[u8]) -> Result<(), String> {
     let Some((bytes, bits, lengths)) = out.result.output.as_ref() else {
@@ -231,6 +314,18 @@ fn main() {
         };
         println!("{seed:<6} {sim_cell:<40} {thr_cell:<40}");
     }
+
+    println!(
+        "\n== iterative apps: {} seeds x filter/kmeans/annealing, FaultPlan::chaos ==",
+        SEEDS.len()
+    );
+    println!(
+        "{:<6} {:<10} {:<40} {:<40}",
+        "seed", "app", "sim", "threaded"
+    );
+    violations += iterative_rows("filter", &FilterConfig::default());
+    violations += iterative_rows("kmeans", &KMeansConfig::default());
+    violations += iterative_rows("annealing", &AnnealConfig::default());
 
     // Silent-data-corruption recall: FaultPlan::sdc flips bits in encoded
     // blocks *after* a successful encode — no panic, no stall, bit count

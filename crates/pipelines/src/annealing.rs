@@ -15,17 +15,11 @@
 //! early annealing epoch; validation compares objective values (not the
 //! placements themselves — two very different placements with near-equal
 //! cost are interchangeable for downstream use, the essence of semantic
-//! tolerance).
+//! tolerance). The pipeline runs on the [`crate::iterative`] driver.
 
-use std::sync::Arc;
-use tvs_core::{
-    Action, CheckResult, ManagerStats, SpecVersion, SpeculationManager, SpeculationSchedule,
-    Tolerance, VerificationPolicy, WaitBuffer,
-};
-use tvs_sre::task::{expect_payload, payload, TaskCtx};
-use tvs_sre::{
-    Completion, CostModel, DispatchPolicy, InputBlock, SchedCtx, TaskSpec, Time, Workload,
-};
+use crate::iterative::{IterativeResult, Solver, TaskBytes, TaskKinds};
+use tvs_core::{CheckResult, SpeculationSchedule, Tolerance, VerificationPolicy};
+use tvs_sre::DispatchPolicy;
 
 /// Configuration of the annealing pipeline.
 #[derive(Debug, Clone)]
@@ -65,23 +59,6 @@ impl Default for AnnealConfig {
             schedule: SpeculationSchedule::with_step(4),
             verification: VerificationPolicy::EveryKth(2),
             tolerance: Tolerance::percent(2.0),
-        }
-    }
-}
-
-/// Cost model for the annealing tasks.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnnealCost;
-
-impl CostModel for AnnealCost {
-    fn cost_us(&self, name: &str, bytes: usize) -> Time {
-        let b = bytes as Time;
-        match name {
-            "anneal" => 450,
-            "evaluate" => 12 + b * 8 / 1024,
-            "check" | "final-check" => 8,
-            "predict" => 4,
-            other => panic!("AnnealCost: unknown task kind '{other}'"),
         }
     }
 }
@@ -154,46 +131,21 @@ pub fn anneal_epoch(mut sol: Solution, t: f64, moves: u32, rng_state: u64) -> (S
     (sol, rng.0)
 }
 
-/// Per-block evaluation outcome.
-#[derive(Debug, Clone, Copy)]
-pub struct EvaluatedBlock {
-    /// Arrival time, µs.
-    pub arrival: Time,
-    /// Completion of the committed evaluate task, µs.
-    pub evaluated_at: Time,
-    /// Scenario score under the committed placement.
-    pub score: f64,
-}
-
-impl EvaluatedBlock {
-    /// Per-element latency.
-    pub fn latency(&self) -> Time {
-        self.evaluated_at.saturating_sub(self.arrival)
-    }
-}
-
-/// Result of a finished annealing run.
-#[derive(Debug, Clone)]
-pub struct AnnealResult {
-    /// Per-block outcomes.
-    pub blocks: Vec<EvaluatedBlock>,
-    /// The placement the committed outputs used.
+/// The annealing chain's state between epochs: the incumbent placement,
+/// the temperature the next epoch runs at and the RNG state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Chain {
+    /// The incumbent placement.
     pub solution: Solution,
-    /// Committed speculation version, if any.
-    pub committed_version: Option<SpecVersion>,
-    /// Speculation statistics.
-    pub spec_stats: Option<ManagerStats>,
+    /// Temperature of the next epoch.
+    pub temperature: f64,
+    /// RNG state the next epoch starts from.
+    pub rng: u64,
 }
 
-impl AnnealResult {
-    /// Mean per-element latency, µs.
-    pub fn mean_latency(&self) -> f64 {
-        if self.blocks.is_empty() {
-            return 0.0;
-        }
-        self.blocks.iter().map(|b| b.latency() as f64).sum::<f64>() / self.blocks.len() as f64
-    }
-}
+/// Result of a finished annealing run: per-block scenario scores and the
+/// chain state whose placement they used.
+pub type AnnealResult = IterativeResult<AnnealConfig>;
 
 /// Evaluate a scenario block under a placement: a deterministic dot-ish
 /// product between scenario bytes and ring adjacency.
@@ -208,342 +160,80 @@ pub fn evaluate_block(data: &[u8], order: &[u16]) -> f64 {
     score
 }
 
-struct EvalOut {
-    score: f64,
-    finished: Time,
-}
+impl Solver for AnnealConfig {
+    type Model = Chain;
+    type Out = f64;
+    const KINDS: TaskKinds = TaskKinds {
+        step: "anneal",
+        block: "evaluate",
+        step_us: 450,
+        block_us: 12,
+        block_us_per_kib: 8,
+        check_us: 8,
+        predict_us: 4,
+    };
+    const INPUT: (usize, usize) = (2048, 97);
 
-/// The speculative annealing workload.
-pub struct AnnealWorkload {
-    cfg: AnnealConfig,
-    n_blocks: usize,
+    fn speculation(&self) -> (DispatchPolicy, SpeculationSchedule, VerificationPolicy) {
+        (self.policy, self.schedule, self.verification)
+    }
 
-    data: Vec<Option<Arc<[u8]>>>,
-    arrival: Vec<Time>,
-    epoch: u64,
-    temperature: f64,
-    rng_state: u64,
-    current: Arc<Solution>,
+    fn steps(&self) -> u64 {
+        self.epochs
+    }
 
-    mgr: SpeculationManager<Arc<Solution>>,
-    buffer: WaitBuffer<EvalOut>,
-    committed_version: Option<SpecVersion>,
-    spec: Option<(SpecVersion, Arc<Solution>)>,
-    spec_done: Vec<bool>,
-    natural: Option<Arc<Solution>>,
-    natural_done: Vec<bool>,
-    final_solution: Option<Arc<Solution>>,
-    used_solution: Option<Arc<Solution>>,
-
-    done: Vec<Option<EvaluatedBlock>>,
-    blocks_done: usize,
-}
-
-impl AnnealWorkload {
-    /// A workload over `n_blocks` scenario blocks.
-    pub fn new(cfg: AnnealConfig, n_blocks: usize) -> Self {
-        assert!(n_blocks > 0 && cfg.n_items >= 4 && cfg.epochs >= 1);
-        let order: Vec<u16> = (0..cfg.n_items as u16).collect();
+    fn initial(&self) -> Chain {
+        assert!(self.n_items >= 4);
+        let order: Vec<u16> = (0..self.n_items as u16).collect();
         let cost = objective(&order);
-        let mgr = SpeculationManager::new(cfg.schedule, cfg.verification);
-        AnnealWorkload {
-            n_blocks,
-            data: vec![None; n_blocks],
-            arrival: vec![0; n_blocks],
-            epoch: 0,
-            temperature: cfg.t0,
-            rng_state: cfg.seed,
-            current: Arc::new(Solution { order, cost }),
-            mgr,
-            buffer: WaitBuffer::new(),
-            committed_version: None,
-            spec: None,
-            spec_done: vec![false; n_blocks],
-            natural: None,
-            natural_done: vec![false; n_blocks],
-            final_solution: None,
-            used_solution: None,
-            done: vec![None; n_blocks],
-            blocks_done: 0,
-            cfg,
+        Chain {
+            solution: Solution { order, cost },
+            temperature: self.t0,
+            rng: self.seed,
         }
     }
 
-    /// Extract the result after the run finished.
-    pub fn result(&self) -> AnnealResult {
-        assert!(self.is_finished());
-        AnnealResult {
-            blocks: self.done.iter().map(|d| d.expect("done")).collect(),
-            solution: (*self.used_solution.as_ref().expect("committed"))
-                .as_ref()
-                .clone(),
-            committed_version: self.committed_version,
-            spec_stats: if self.cfg.policy.speculates() {
-                Some(self.mgr.stats())
-            } else {
-                None
-            },
+    fn step(&self, chain: &Chain) -> Chain {
+        let (solution, rng) = anneal_epoch(
+            chain.solution.clone(),
+            chain.temperature,
+            self.moves_per_epoch,
+            chain.rng,
+        );
+        Chain {
+            solution,
+            temperature: chain.temperature * self.cooling,
+            rng,
         }
     }
 
-    fn spawn_epoch(&mut self, ctx: &mut dyn SchedCtx) {
-        let sol = self.current.as_ref().clone();
-        let (t, moves, rng) = (self.temperature, self.cfg.moves_per_epoch, self.rng_state);
-        ctx.spawn(TaskSpec::regular(
-            "anneal",
-            1,
-            sol.order.len() * 2,
-            self.epoch,
-            move |_: &TaskCtx| {
-                let (next, rng2) = anneal_epoch(sol.clone(), t, moves, rng);
-                payload((Arc::new(next), rng2))
-            },
-        ));
+    fn block(&self, data: &[u8], chain: &Chain) -> f64 {
+        evaluate_block(data, &chain.solution.order)
     }
 
-    fn spawn_evals(
-        &mut self,
-        ctx: &mut dyn SchedCtx,
-        version: Option<SpecVersion>,
-        sol: Arc<Solution>,
-    ) {
-        for idx in 0..self.n_blocks {
-            let done = match version {
-                Some(_) => &mut self.spec_done,
-                None => &mut self.natural_done,
-            };
-            if done[idx] || self.data[idx].is_none() {
-                continue;
-            }
-            done[idx] = true;
-            let data = self.data[idx].as_ref().expect("arrived").clone();
-            let sol = sol.clone();
-            let bytes = data.len();
-            let body = move |_: &TaskCtx| payload(evaluate_block(&data, &sol.order));
-            let task = match version {
-                Some(v) => TaskSpec::speculative("evaluate", 2, bytes, v, idx as u64, body),
-                None => TaskSpec::regular("evaluate", 2, bytes, idx as u64, body),
-            };
-            ctx.spawn(task);
+    fn check(&self, speculated: &Chain, reference: &Chain) -> CheckResult {
+        // Semantic tolerance: compare *objective values*. The newer
+        // incumbent is never worse (annealing tracks the accepted state,
+        // and cooling makes regressions rare and small); the speculation
+        // is stale once it costs `tol` more than the incumbent.
+        let (spec, newer) = (speculated.solution.cost, reference.solution.cost);
+        self.tolerance
+            .judge(((spec - newer) / newer.max(1e-12)).max(0.0))
+    }
+
+    fn bytes(&self) -> TaskBytes {
+        TaskBytes {
+            step: self.n_items * 2,
+            predict: 64,
+            check: 64,
         }
     }
-
-    fn finalize(&mut self, idx: usize, score: f64, finished: Time) {
-        assert!(self.done[idx].is_none(), "block {idx} evaluated twice");
-        self.done[idx] = Some(EvaluatedBlock {
-            arrival: self.arrival[idx],
-            evaluated_at: finished,
-            score,
-        });
-        self.blocks_done += 1;
-    }
-
-    fn handle_actions(&mut self, ctx: &mut dyn SchedCtx, actions: Vec<Action>) {
-        for a in actions {
-            match a {
-                Action::StartPrediction { version } => {
-                    let sol = self.current.clone();
-                    ctx.spawn(TaskSpec::predictor(
-                        "predict",
-                        64,
-                        version,
-                        version as u64,
-                        move |_| payload(sol.clone()),
-                    ));
-                }
-                Action::SpawnCheck { version } => {
-                    let (_, spec) = self.mgr.active().expect("active");
-                    let spec = spec.clone();
-                    let newer = self.current.clone();
-                    let tol = self.cfg.tolerance;
-                    let basis = self.epoch;
-                    ctx.spawn(TaskSpec::check("check", 64, basis, move |_| {
-                        // Semantic tolerance: compare *objective values*.
-                        // The newer incumbent is never worse (annealing
-                        // tracks the accepted state, and cooling makes
-                        // regressions rare and small); the speculation is
-                        // stale once it costs `tol` more than the incumbent.
-                        let delta = ((spec.cost - newer.cost) / newer.cost.max(1e-12)).max(0.0);
-                        payload((version, tol.judge(delta), newer.clone(), basis))
-                    }));
-                }
-                Action::Rollback { version } => {
-                    ctx.abort_version(version);
-                    self.buffer.abort(version);
-                    self.spec = None;
-                    self.spec_done = vec![false; self.n_blocks];
-                }
-                Action::PromoteCandidate { version } => {
-                    let (_, sol) = self.mgr.active().expect("promoted");
-                    let sol = sol.clone();
-                    self.spec = Some((version, sol.clone()));
-                    self.spawn_evals(ctx, Some(version), sol);
-                }
-                Action::SpawnFinalCheck { version } => {
-                    let (_, spec) = self.mgr.pending_final().expect("pending final");
-                    let spec = spec.clone();
-                    let fin = self.final_solution.as_ref().expect("final").clone();
-                    let tol = self.cfg.tolerance;
-                    ctx.spawn(TaskSpec::check(
-                        "final-check",
-                        64,
-                        version as u64,
-                        move |_| {
-                            let delta = ((spec.cost - fin.cost) / fin.cost.max(1e-12)).max(0.0);
-                            payload((version, tol.judge(delta)))
-                        },
-                    ));
-                }
-                Action::Commit { version } => {
-                    self.committed_version = Some(version);
-                    self.used_solution = self.spec.as_ref().map(|(_, s)| s.clone());
-                    for (slot, out) in self.buffer.commit(version) {
-                        self.finalize(slot as usize, out.score, out.finished);
-                    }
-                }
-                Action::RecomputeNaturally => {
-                    let sol = self
-                        .final_solution
-                        .as_ref()
-                        .expect("final solution")
-                        .clone();
-                    self.used_solution = Some(sol.clone());
-                    self.natural = Some(sol.clone());
-                    self.spawn_evals(ctx, None, sol);
-                }
-            }
-        }
-    }
-}
-
-impl Workload for AnnealWorkload {
-    fn on_start(&mut self, ctx: &mut dyn SchedCtx) {
-        self.spawn_epoch(ctx);
-    }
-
-    fn on_input(&mut self, ctx: &mut dyn SchedCtx, block: InputBlock) {
-        let idx = block.index;
-        self.arrival[idx] = block.arrival;
-        self.data[idx] = Some(block.data);
-        if let Some((v, s)) = self.spec.clone() {
-            if self.committed_version.is_none() || self.committed_version == Some(v) {
-                self.spawn_evals(ctx, Some(v), s);
-            }
-        }
-        if let Some(s) = self.natural.clone() {
-            self.spawn_evals(ctx, None, s);
-        }
-    }
-
-    fn on_complete(&mut self, ctx: &mut dyn SchedCtx, done: Completion) {
-        match done.name {
-            "anneal" => {
-                let (sol, rng2) =
-                    expect_payload::<(Arc<Solution>, u64)>(done.output, "(Arc<Solution>, u64)");
-                self.current = sol;
-                self.rng_state = rng2;
-                self.temperature *= self.cfg.cooling;
-                self.epoch += 1;
-                if self.epoch < self.cfg.epochs {
-                    if self.cfg.policy.speculates() && !self.mgr.is_done() {
-                        let actions = self.mgr.on_basis(self.epoch);
-                        self.handle_actions(ctx, actions);
-                    }
-                    self.spawn_epoch(ctx);
-                } else {
-                    self.final_solution = Some(self.current.clone());
-                    let actions = if self.cfg.policy.speculates() {
-                        self.mgr.on_final()
-                    } else {
-                        vec![Action::RecomputeNaturally]
-                    };
-                    self.handle_actions(ctx, actions);
-                }
-            }
-            "predict" => {
-                let version = done.version.expect("predictor version");
-                let sol = expect_payload::<Arc<Solution>>(done.output, "Arc<Solution>");
-                if self.mgr.install_prediction(version, sol.clone()) {
-                    self.spec = Some((version, sol.clone()));
-                    self.spawn_evals(ctx, Some(version), sol);
-                }
-            }
-            "check" => {
-                let (version, r, newer, basis) =
-                    expect_payload::<(SpecVersion, CheckResult, Arc<Solution>, u64)>(
-                        done.output,
-                        "check tuple",
-                    );
-                let actions = self.mgr.on_check_result(version, r, Some((newer, basis)));
-                self.handle_actions(ctx, actions);
-            }
-            "final-check" => {
-                let (version, r) =
-                    expect_payload::<(SpecVersion, CheckResult)>(done.output, "final tuple");
-                let actions = self.mgr.on_final_check_result(version, r);
-                self.handle_actions(ctx, actions);
-            }
-            "evaluate" => {
-                let idx = done.tag as usize;
-                let score = expect_payload::<f64>(done.output, "f64");
-                match done.version {
-                    Some(v) => {
-                        if self.committed_version == Some(v) {
-                            self.finalize(idx, score, done.finished);
-                        } else {
-                            self.buffer.push(
-                                v,
-                                idx as u64,
-                                EvalOut {
-                                    score,
-                                    finished: done.finished,
-                                },
-                            );
-                        }
-                    }
-                    None => self.finalize(idx, score, done.finished),
-                }
-            }
-            other => unreachable!("unknown completion '{other}'"),
-        }
-    }
-
-    fn is_finished(&self) -> bool {
-        self.blocks_done == self.n_blocks
-    }
-}
-
-/// Run the annealing pipeline on the simulator with uniform block arrivals.
-pub fn run_anneal_sim(
-    cfg: &AnnealConfig,
-    n_blocks: usize,
-    arrival_gap_us: Time,
-    workers: usize,
-) -> (AnnealResult, tvs_sre::RunMetrics) {
-    use tvs_sre::exec::sim::{try_run, SimConfig};
-    let wl = AnnealWorkload::new(cfg.clone(), n_blocks);
-    let sim = SimConfig::new(tvs_sre::x86_smp(workers), cfg.policy);
-    let inputs: Vec<InputBlock> = (0..n_blocks)
-        .map(|i| InputBlock {
-            index: i,
-            arrival: i as Time * arrival_gap_us,
-            data: make_block(i),
-        })
-        .collect();
-    let rep = try_run(wl, &sim, &AnnealCost, inputs).expect("run completes");
-    (rep.workload.result(), rep.metrics)
-}
-
-fn make_block(i: usize) -> Arc<[u8]> {
-    (0..2048)
-        .map(|j| (((i * 97 + j) as u32).wrapping_mul(2654435761) >> 24) as u8)
-        .collect::<Vec<u8>>()
-        .into()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iterative::{inputs, run_sim};
 
     #[test]
     fn annealing_improves_the_objective() {
@@ -577,13 +267,13 @@ mod tests {
             policy: DispatchPolicy::NonSpeculative,
             ..Default::default()
         };
-        let (res, m) = run_anneal_sim(&cfg, 32, 10, 4);
+        let (res, m) = run_sim(&cfg, 32, 10, 4);
         assert_eq!(res.blocks.len(), 32);
         assert_eq!(m.rollbacks, 0);
         // Scores match a direct evaluation under the committed placement.
-        for (i, b) in res.blocks.iter().enumerate() {
-            let expect = evaluate_block(&make_block(i), &res.solution.order);
-            assert!((b.score - expect).abs() < 1e-9);
+        for (b, input) in res.blocks.iter().zip(inputs::<AnnealConfig>(32, 10)) {
+            let expect = evaluate_block(&input.data, &res.model.solution.order);
+            assert!((b.out - expect).abs() < 1e-9);
         }
     }
 
@@ -594,8 +284,8 @@ mod tests {
             ..Default::default()
         };
         let sp = AnnealConfig::default();
-        let (rn, _) = run_anneal_sim(&ns, 64, 10, 8);
-        let (rs, _) = run_anneal_sim(&sp, 64, 10, 8);
+        let (rn, _) = run_sim(&ns, 64, 10, 8);
+        let (rs, _) = run_sim(&sp, 64, 10, 8);
         if let Some(_v) = rs.committed_version {
             // The committed solution's objective is within tolerance of the
             // final one (checked by construction; assert the run agrees).
@@ -614,7 +304,7 @@ mod tests {
             tolerance: Tolerance::percent(0.5),
             ..Default::default()
         };
-        let (res, m) = run_anneal_sim(&cfg, 32, 10, 4);
+        let (res, m) = run_sim(&cfg, 32, 10, 4);
         assert!(m.rollbacks > 0, "hot-chain speculation must roll back");
         assert_eq!(res.blocks.len(), 32);
     }
@@ -629,7 +319,7 @@ mod tests {
             schedule: SpeculationSchedule::with_step(8),
             ..Default::default()
         };
-        let (res, m) = run_anneal_sim(&cfg, 32, 10, 4);
+        let (res, m) = run_sim(&cfg, 32, 10, 4);
         assert!(
             m.rollbacks <= 2,
             "cold-chain speculation churned: {}",
@@ -647,7 +337,7 @@ mod tests {
             verification: VerificationPolicy::Full,
             ..Default::default()
         };
-        let (_, mh) = run_anneal_sim(&hot, 32, 10, 4);
+        let (_, mh) = run_sim(&hot, 32, 10, 4);
         assert!(
             mh.rollbacks > m.rollbacks,
             "hot {} vs cold {}",
@@ -662,7 +352,7 @@ mod tests {
             schedule: SpeculationSchedule::with_step(6),
             ..Default::default()
         };
-        let (res, _) = run_anneal_sim(&cfg, 16, 10, 4);
+        let (res, _) = run_sim(&cfg, 16, 10, 4);
         if res.committed_version.is_some() {
             // Recompute the final solution serially.
             let mut sol = {
@@ -677,7 +367,7 @@ mod tests {
                 rng = rng2;
                 t *= cfg.cooling;
             }
-            let rel = (res.solution.cost - sol.cost).abs() / sol.cost;
+            let rel = (res.model.solution.cost - sol.cost).abs() / sol.cost;
             assert!(
                 rel <= 0.02 + 1e-9,
                 "committed objective within tolerance: {rel}"

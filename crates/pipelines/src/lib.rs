@@ -1,6 +1,7 @@
 //! Streaming applications built on the TVS public API.
 //!
-//! Two applications, mirroring the paper:
+//! One Huffman DFG and one iterative driver with three solvers, mirroring
+//! the paper:
 //!
 //! * [`huffman`] — the paper's benchmark: a parallel, speculative Huffman
 //!   encoder (Fig. 2). Blocks are counted in parallel, histograms are
@@ -9,20 +10,25 @@
 //!   variable-length output positions, and encodes fan out in parallel.
 //!   Speculation predicts the tree from prefix histograms, with a
 //!   compressed-size tolerance check.
-//! * [`filter`] — the paper's motivating example (Fig. 1): an iterative
-//!   computation of filter coefficients whose early iterates are speculated
-//!   on, releasing the data-parallel filtering phase before the iteration
-//!   converges.
-//! * [`kmeans`] — the intro's other workload class ("iterative algorithms
-//!   such as k-means"): Lloyd iterations over a sample feed speculative
-//!   centroids to the data-parallel assignment phase.
-//! * [`annealing`] — the intro's "random-based optimization heuristics
-//!   such as simulated annealing": a stochastic, non-monotone solver whose
-//!   incumbent placement is speculated on with a *semantic* tolerance
-//!   (objective values, not structures, are compared).
+//! * [`iterative`] — the paper's motivating DFG (Fig. 1): a serial
+//!   iterative solver whose early iterate is speculated on, releasing a
+//!   data-parallel per-block phase before the iteration converges. One
+//!   [`iterative::IterativeWorkload`] runs the speculation, wait buffer,
+//!   natural path and fault path for any [`iterative::Solver`]; three
+//!   solvers plug into it:
+//!   * [`filter`] — iterative computation of filter coefficients feeding
+//!     an FIR phase (the Fig. 1 example itself);
+//!   * [`kmeans`] — the intro's "iterative algorithms such as k-means":
+//!     Lloyd iterations over a sample feed speculative centroids to the
+//!     assignment phase;
+//!   * [`annealing`] — the intro's "random-based optimization heuristics
+//!     such as simulated annealing": a stochastic, non-monotone solver
+//!     whose incumbent placement is speculated on with a *semantic*
+//!     tolerance (objective values, not structures, are compared).
 //!
 //! [`runner`] runs the Huffman pipeline on any of the three executors
-//! with an I/O arrival model ([`runner::run_huffman`]); [`report`] renders the
+//! with an I/O arrival model ([`runner::run_huffman`]), and
+//! [`iterative::run`] does the same for a solver; [`report`] renders the
 //! series the paper's figures plot; [`postmortem`] dumps and reloads
 //! crash bundles (trace rings + lineage table + metrics snapshots) when
 //! a chaos run dies.
@@ -55,6 +61,7 @@ pub mod config;
 pub mod cost;
 pub mod filter;
 pub mod huffman;
+pub mod iterative;
 pub mod kmeans;
 pub mod postmortem;
 pub mod report;

@@ -309,7 +309,7 @@ pub fn run_huffman(
 
 /// The real-thread executors' input: each block is released at its
 /// arrival time divided by `time_scale`, measured from now.
-fn paced(
+pub(crate) fn paced(
     blocks: Vec<InputBlock>,
     time_scale: u64,
 ) -> impl Iterator<Item = (usize, Arc<[u8]>)> + Send + 'static {

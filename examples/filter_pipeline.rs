@@ -11,7 +11,8 @@
 //! Run with: `cargo run --release --example filter_pipeline`
 
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
-use tvs_pipelines::filter::{run_filter_sim, FilterConfig};
+use tvs_pipelines::filter::FilterConfig;
+use tvs_pipelines::iterative::run_sim;
 use tvs_sre::DispatchPolicy;
 
 fn main() {
@@ -23,7 +24,7 @@ fn main() {
         policy: DispatchPolicy::NonSpeculative,
         ..Default::default()
     };
-    let (b, bm) = run_filter_sim(&base, blocks, gap_us, workers);
+    let (b, bm) = run_sim(&base, blocks, gap_us, workers);
     println!(
         "non-speculative: mean latency {:>8.0} us, completion {:>7} us",
         b.mean_latency(),
@@ -40,7 +41,7 @@ fn main() {
             tolerance: Tolerance::percent(1.0),
             ..Default::default()
         };
-        let (r, m) = run_filter_sim(&cfg, blocks, gap_us, workers);
+        let (r, m) = run_sim(&cfg, blocks, gap_us, workers);
         println!(
             "  {k:<2}  {:>9.0} us   {:>8} us   {:>6}     {}",
             r.mean_latency(),

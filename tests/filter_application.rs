@@ -2,7 +2,8 @@
 //! the speculation design space.
 
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
-use tvs_pipelines::filter::{run_filter_sim, FilterConfig};
+use tvs_pipelines::filter::FilterConfig;
+use tvs_pipelines::iterative::run_sim;
 use tvs_sre::DispatchPolicy;
 
 fn base(policy: DispatchPolicy) -> FilterConfig {
@@ -14,8 +15,8 @@ fn base(policy: DispatchPolicy) -> FilterConfig {
 
 #[test]
 fn speculation_cuts_filter_latency() {
-    let (ns, _) = run_filter_sim(&base(DispatchPolicy::NonSpeculative), 128, 10, 8);
-    let (sp, _) = run_filter_sim(&base(DispatchPolicy::Balanced), 128, 10, 8);
+    let (ns, _) = run_sim(&base(DispatchPolicy::NonSpeculative), 128, 10, 8);
+    let (sp, _) = run_sim(&base(DispatchPolicy::Balanced), 128, 10, 8);
     assert!(sp.committed_version.is_some());
     assert!(
         sp.mean_latency() < ns.mean_latency() * 0.8,
@@ -34,7 +35,7 @@ fn outputs_match_committed_coefficients_in_all_modes() {
         DispatchPolicy::Aggressive,
         DispatchPolicy::Conservative,
     ] {
-        let (res, _) = run_filter_sim(&base(policy), 32, 10, 4);
+        let (res, _) = run_sim(&base(policy), 32, 10, 4);
         assert_eq!(res.blocks.len(), 32);
         for (i, b) in res.blocks.iter().enumerate() {
             // Recompute the block deterministically (same generator as the
@@ -42,9 +43,9 @@ fn outputs_match_committed_coefficients_in_all_modes() {
             let block: Vec<u8> = (0..4096)
                 .map(|j| (((i * 31 + j) as u32).wrapping_mul(2654435761) >> 24) as u8)
                 .collect();
-            let expect = fir_checksum(&block, &res.coefficients);
+            let expect = fir_checksum(&block, &res.model);
             assert!(
-                (b.checksum - expect).abs() <= 1e-9 * expect.abs().max(1.0),
+                (b.out - expect).abs() <= 1e-9 * expect.abs().max(1.0),
                 "{policy:?} block {i}"
             );
         }
@@ -67,8 +68,8 @@ fn earlier_speculation_is_better_despite_rollbacks() {
         schedule: SpeculationSchedule::with_step(10),
         ..Default::default()
     };
-    let (e, em) = run_filter_sim(&early, 128, 10, 8);
-    let (l, lm) = run_filter_sim(&late, 128, 10, 8);
+    let (e, em) = run_sim(&early, 128, 10, 8);
+    let (l, lm) = run_sim(&late, 128, 10, 8);
     assert!(
         em.rollbacks > 0,
         "early speculation must pay some rollbacks"
@@ -94,7 +95,7 @@ fn tighter_tolerance_needs_more_convergence() {
             tolerance: Tolerance { margin: tol },
             ..Default::default()
         };
-        let (res, _) = run_filter_sim(&cfg, 16, 10, 4);
+        let (res, _) = run_sim(&cfg, 16, 10, 4);
         res.committed_version.is_some()
     };
     // A loose margin commits an early iterate; a tight one rejects it.
@@ -110,17 +111,17 @@ fn committed_outputs_stay_within_tolerance_of_natural() {
     // one — that is the tolerance trade. The outputs must agree with the
     // natural run to within the accepted coefficient error (the iterate at
     // step 11 of 12 is within 0.5^11 of the fixed point).
-    let (ns, _) = run_filter_sim(&base(DispatchPolicy::NonSpeculative), 16, 10, 4);
+    let (ns, _) = run_sim(&base(DispatchPolicy::NonSpeculative), 16, 10, 4);
     let spec_cfg = FilterConfig {
         policy: DispatchPolicy::Balanced,
         schedule: SpeculationSchedule::with_step(11),
         ..Default::default()
     };
-    let (sp, _) = run_filter_sim(&spec_cfg, 16, 10, 4);
+    let (sp, _) = run_sim(&spec_cfg, 16, 10, 4);
     assert!(sp.committed_version.is_some());
     for (a, b) in ns.blocks.iter().zip(&sp.blocks) {
-        let scale = a.checksum.abs().max(1.0);
-        let rel = (a.checksum - b.checksum).abs() / scale;
+        let scale = a.out.abs().max(1.0);
+        let rel = (a.out - b.out).abs() / scale;
         assert!(
             rel < 0.01,
             "committed output must stay within tolerance: {rel}"
@@ -134,7 +135,7 @@ fn committed_outputs_stay_within_tolerance_of_natural() {
 
 #[test]
 fn single_worker_and_many_blocks() {
-    let (res, m) = run_filter_sim(&base(DispatchPolicy::Balanced), 200, 2, 1);
+    let (res, m) = run_sim(&base(DispatchPolicy::Balanced), 200, 2, 1);
     assert_eq!(res.blocks.len(), 200);
     assert!(
         m.utilization() > 0.5,
