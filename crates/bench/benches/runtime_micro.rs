@@ -107,7 +107,7 @@ fn bench_sim_executor(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
             &format!("sim_executor/tasks/{n_tasks}"),
             Opts::heavy(),
             || {
-                let rep = sim_run(
+                let (_, m) = sim_run(
                     PerBlock {
                         n: n_tasks,
                         seen: 0,
@@ -118,7 +118,7 @@ fn bench_sim_executor(rows: &mut Vec<tvs_bench::microbench::Measurement>) {
                     inputs.clone(),
                 )
                 .expect("simulated run completes");
-                black_box(rep.metrics.makespan)
+                black_box(m.makespan)
             },
         ));
     }

@@ -96,11 +96,11 @@ fn ablation_check_cost() {
         let (blocks, times) = schedule_blocks(&data, cfg.block_bytes, &Disk::default());
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
         let sim = SimConfig::new(platform.clone(), cfg.policy);
-        let rep =
+        let (wl, metrics) =
             try_run(wl, &sim, &ScaledCheckCost(scale), blocks).expect("simulated run completes");
         let out = tvs_pipelines::RunOutcome {
-            result: rep.workload.result(),
-            metrics: rep.metrics,
+            result: wl.result(),
+            metrics,
             arrivals: times,
         };
         row(&format!("check cost x{scale} (~{}us)", 30 * scale), &out);

@@ -111,14 +111,6 @@ fn huffman_rows() -> Vec<Row> {
     });
     rows.push(Row::from_measurement("histogram_count", &m));
 
-    let mut acc = Histogram::new();
-    let m = bench_with(
-        "histogram_count_fused",
-        Opts::throughput(BLOCK as u64),
-        || black_box(Histogram::count_into(&data, &mut acc)),
-    );
-    rows.push(Row::from_measurement("histogram_count_fused", &m));
-
     let hist = Histogram::from_bytes(&data);
     let lengths = CodeLengths::build(&hist).expect("non-empty");
     let table = CodeTable::from_lengths(&lengths);

@@ -91,6 +91,7 @@ mod tests {
                 id: 1,
                 name: "t",
                 version: None,
+                tag: 0,
                 discarded: false,
             },
         );

@@ -15,6 +15,8 @@
 //! timed ones, and metered and unmetered runs alternate, so the asserted
 //! ratio is the median of per-pair ratios.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
@@ -101,32 +103,14 @@ fn time_run(metered: bool) -> f64 {
 
 #[test]
 fn metrics_overhead_stays_within_budget() {
-    // Warm-up pair: thread spawn paths, allocator and caches.
-    time_run(false);
-    time_run(true);
-    // Interleaved off/on pairs, alternating which goes first, so load
-    // drift on a shared box hits both sides alike; the overhead is the
-    // median of the per-pair ratios.
-    let pairs: Vec<(f64, f64)> = (0..PAIRS)
-        .map(|i| {
-            if i % 2 == 0 {
-                let off = time_run(false);
-                (off, time_run(true))
-            } else {
-                let on = time_run(true);
-                (time_run(false), on)
-            }
-        })
-        .collect();
-    let mut ratios: Vec<f64> = pairs.iter().map(|(off, on)| on / off).collect();
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let ratio = ratios[PAIRS / 2];
-    let mean_ms = |f: fn(&(f64, f64)) -> f64| pairs.iter().map(f).sum::<f64>() / PAIRS as f64 * 1e3;
+    let r = common::paired_ratio(PAIRS, time_run);
+    let ratio = r.median();
     println!(
         "metrics overhead on 100us bodies, {N} tasks per run: off mean {:.3} ms, \
-         on mean {:.3} ms, median ratio {ratio:.3}x over {PAIRS} interleaved pairs {ratios:.3?}",
-        mean_ms(|p| p.0),
-        mean_ms(|p| p.1),
+         on mean {:.3} ms, median ratio {ratio:.3}x over {PAIRS} interleaved pairs {:.3?}",
+        r.mean_ms(false),
+        r.mean_ms(true),
+        r.ratios,
     );
     let strict = std::env::var("TVS_METRICS_STRICT").as_deref() == Ok("1");
     let ceiling = if strict { 1.03 } else { 2.0 };

@@ -84,24 +84,6 @@ impl Histogram {
         lanes
     }
 
-    /// Fused count→reduce: count `data` into a fresh block histogram while
-    /// folding the same lane tables into `acc` in the same final pass.
-    ///
-    /// This is the paper's `count` immediately followed by its first-level
-    /// `reduce`, without re-walking the block or a second 256-entry merge
-    /// sweep over a cloned accumulator.
-    pub fn count_into(data: &[u8], acc: &mut Histogram) -> Histogram {
-        let lanes = Self::count_lanes(data);
-        let mut block = Histogram::new();
-        for (i, slot) in block.counts.iter_mut().enumerate().take(ALPHABET) {
-            let c =
-                lanes[0][i] as u64 + lanes[1][i] as u64 + lanes[2][i] as u64 + lanes[3][i] as u64;
-            *slot = c;
-            acc.counts[i] += c;
-        }
-        block
-    }
-
     /// Merge `other` into `self` (the paper's `reduce` task body).
     pub fn merge(&mut self, other: &Histogram) {
         for i in 0..ALPHABET {
@@ -277,18 +259,6 @@ mod tests {
             for b in 0..n as u8 {
                 assert_eq!(h.count(b), 1);
             }
-        }
-    }
-
-    #[test]
-    fn count_into_matches_separate_count_and_merge() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(4_099).collect();
-        for split in [0usize, 1, 7, 8, 9, 63, 64, 65, 4_099] {
-            let (a, b) = data.split_at(split);
-            let mut acc = Histogram::from_bytes(a);
-            let block = Histogram::count_into(b, &mut acc);
-            assert_eq!(block, Histogram::from_bytes(b), "split {split}");
-            assert_eq!(acc, Histogram::from_bytes(&data), "split {split}");
         }
     }
 

@@ -1315,8 +1315,8 @@ mod tests {
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
         let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(data, cfg.block_bytes, 5);
-        let rep = try_run(wl, &sim, &HuffmanCost, inputs).expect("run completes");
-        (rep.workload.result(), rep.metrics)
+        let (wl, m) = try_run(wl, &sim, &HuffmanCost, inputs).expect("run completes");
+        (wl.result(), m)
     }
 
     /// Stationary text over a realistically *rich* alphabet: rare symbols
@@ -1451,8 +1451,8 @@ mod tests {
         let wl = HuffmanWorkload::new(cfg.clone(), data.len());
         let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 100);
-        let rep = try_run(wl, &sim, &HuffmanCost, inputs).expect("run completes");
-        let (res, m) = (rep.workload.result(), rep.metrics);
+        let (wl, m) = try_run(wl, &sim, &HuffmanCost, inputs).expect("run completes");
+        let res = wl.result();
         assert!(m.rollbacks >= 2, "zero tolerance must roll back: {m:?}");
         let s = res.spec_stats.unwrap();
         assert!(
@@ -1486,8 +1486,8 @@ mod tests {
         )));
         let sim = SimConfig::new(x86_smp(4), cfg.policy);
         let inputs = blocks_of(&data, cfg.block_bytes, 5);
-        let rep = try_run(wl, &sim, &HuffmanCost, inputs).expect("run completes");
-        let res = rep.workload.result();
+        let (wl, _) = try_run(wl, &sim, &HuffmanCost, inputs).expect("run completes");
+        let res = wl.result();
         let s = res.spec_stats.unwrap();
         assert!(
             s.checks_failed > 0 || res.committed_version.is_none(),

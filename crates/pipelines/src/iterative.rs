@@ -506,7 +506,7 @@ pub fn run<S: Solver>(
     assert_eq!(policy, solver.speculation().0, "executor and solver policy");
     let wl = IterativeWorkload::new(solver.clone(), inputs.len());
     let (wl, metrics) = match exec {
-        Executor::Sim(s) => sim::try_run(wl, s, &S::KINDS, inputs).map(|r| (r.workload, r.metrics)),
+        Executor::Sim(s) => sim::try_run(wl, s, &S::KINDS, inputs),
         Executor::Threaded(t) => threaded::try_run(wl, t, paced(inputs, 1)),
         Executor::Baseline(t) => baseline::try_run(wl, t, paced(inputs, 1)),
     }?;

@@ -16,7 +16,7 @@ use tvs_iosim::ArrivalModel;
 use tvs_sre::exec::baseline;
 use tvs_sre::exec::sim::{self, SimConfig};
 use tvs_sre::exec::threaded::{self, ThreadedConfig};
-use tvs_sre::{InputBlock, RunError, RunMetrics, TaskTrace};
+use tvs_sre::{InputBlock, RunError, RunMetrics};
 
 /// Seed of the replication plane's deterministic ordinary-task sampler.
 /// Fixed so two runs of the same configuration replicate the same tasks.
@@ -149,9 +149,6 @@ pub struct HuffmanRun {
     pub end: RunEnd,
     /// Counters of the replication validation plane.
     pub replicas: ReplicaStats,
-    /// Per-task trace: filled by the simulator when [`SimConfig::trace`]
-    /// is set, empty otherwise.
-    pub trace: Vec<TaskTrace>,
 }
 
 impl HuffmanRun {
@@ -263,15 +260,11 @@ pub fn run_huffman(
     let prefix = spec.resume.map_or(0, |s| s.prefix as usize);
     let blocks: Vec<InputBlock> = blocks.into_iter().filter(|b| b.index >= prefix).collect();
     let ran = match &spec.executor {
-        Executor::Sim(s) => {
-            sim::try_run(wl, s, &HuffmanCost, blocks).map(|r| (r.workload, r.metrics, r.trace))
-        }
-        Executor::Threaded(t) => threaded::try_run(wl, t, paced(blocks, spec.time_scale))
-            .map(|(w, m)| (w, m, Vec::new())),
-        Executor::Baseline(t) => baseline::try_run(wl, t, paced(blocks, spec.time_scale))
-            .map(|(w, m)| (w, m, Vec::new())),
+        Executor::Sim(s) => sim::try_run(wl, s, &HuffmanCost, blocks),
+        Executor::Threaded(t) => threaded::try_run(wl, t, paced(blocks, spec.time_scale)),
+        Executor::Baseline(t) => baseline::try_run(wl, t, paced(blocks, spec.time_scale)),
     };
-    let (wl, metrics, trace) = ran.inspect_err(|e| {
+    let (wl, metrics) = ran.inspect_err(|e| {
         // Crash hook: dump the flight-recorder state before the
         // structured error propagates (see `postmortem`).
         if let Some(seed) = faults.seed() {
@@ -303,7 +296,6 @@ pub fn run_huffman(
     Ok(HuffmanRun {
         end,
         replicas: wl.stats(),
-        trace,
     })
 }
 
@@ -394,12 +386,13 @@ mod tests {
         };
         let c = cfg(DispatchPolicy::NonSpeculative);
         let sim = SimConfig {
-            trace: true,
+            tracer: Tracer::enabled(4),
             ..SimConfig::new(x86_smp(4), c.policy)
         };
-        let trace = run_huffman(&d, &c, &RunSpec::sim(sim, &arrival))
-            .expect("run completes")
-            .trace;
+        run_huffman(&d, &c, &RunSpec::sim(sim.clone(), &arrival)).expect("run completes");
+        let log = sim.tracer.drain().expect("enabled tracer drains");
+        assert_eq!(log.dropped, 0);
+        let trace = log.task_spans();
         assert!(trace.iter().any(|t| t.name == "count"));
         assert!(trace.iter().any(|t| t.name == "encode"));
         assert!(trace.iter().any(|t| t.name == "tree"));

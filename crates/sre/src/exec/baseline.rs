@@ -338,13 +338,14 @@ where
                         if duplicate {
                             let _ = inner.sched.try_complete(work.id);
                         }
-                        if tracer.is_enabled() {
+                        if tracer.is_enabled() && outcome.is_some() {
                             tracer.emit(
                                 me,
                                 EventKind::TaskEnd {
                                     id: work.id,
                                     name: work.name,
                                     version: work.version,
+                                    tag: work.tag,
                                     discarded: outcome == Some(CompletionOutcome::Discard),
                                 },
                             );

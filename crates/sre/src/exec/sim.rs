@@ -30,7 +30,7 @@
 //! same plan, same seed, same schedule — bit-identical faults.
 
 use crate::fault::{RetryPolicy, RunError, WatchdogConfig};
-use crate::metrics::{SimReport, TaskTrace};
+use crate::metrics::RunMetrics;
 use crate::platform::{CostModel, Platform};
 use crate::policy::DispatchPolicy;
 use crate::sched::{CompletionOutcome, Dispatched, Scheduler};
@@ -51,8 +51,6 @@ pub struct SimConfig {
     pub platform: Platform,
     /// Dispatch policy.
     pub policy: DispatchPolicy,
-    /// Record a per-task [`TaskTrace`].
-    pub trace: bool,
     /// Speculation-lifecycle event sink, stamped in virtual time.
     pub tracer: Tracer,
     /// Live metrics hub, sized for `platform.workers`. Snapshots follow
@@ -70,13 +68,12 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A config with every optional plane off: no task trace, disabled
-    /// tracer and hub, default retry, no watchdog, no fault injection.
+    /// A config with every optional plane off: disabled tracer and hub,
+    /// default retry, no watchdog, no fault injection.
     pub fn new(platform: Platform, policy: DispatchPolicy) -> Self {
         SimConfig {
             platform,
             policy,
-            trace: false,
             tracer: Tracer::disabled(),
             hub: MetricsHub::disabled(),
             retry: RetryPolicy::default(),
@@ -103,6 +100,7 @@ struct WorkerState {
 /// A completion held back by an injected `DelayCompletion`, re-delivered
 /// at a later virtual instant.
 struct Delayed {
+    worker: usize,
     id: TaskId,
     name: &'static str,
     version: Option<SpecVersion>,
@@ -181,7 +179,7 @@ pub fn try_run<W: Workload>(
     cfg: &SimConfig,
     cost: &dyn CostModel,
     inputs: Vec<InputBlock>,
-) -> Result<SimReport<W>, RunError> {
+) -> Result<(W, RunMetrics), RunError> {
     let tracer = &cfg.tracer;
     let hub = super::observe_run(tracer, &cfg.hub, cfg.platform.workers, cfg.policy);
     assert!(
@@ -209,7 +207,6 @@ pub fn try_run<W: Workload>(
         input_map.insert(i, b);
     }
 
-    let mut trace: Vec<TaskTrace> = Vec::new();
     let mut arrivals_seen = 0usize;
     let mut finished_at: Option<Time> = None;
     let mut last_event_time: Time = 0;
@@ -302,21 +299,10 @@ pub fn try_run<W: Workload>(
                                 id: work.id,
                                 name: work.name,
                                 version: work.version,
+                                tag: work.tag,
                                 discarded: true,
                             },
                         );
-                    }
-                    if cfg.trace {
-                        trace.push(TaskTrace {
-                            id: work.id,
-                            name: work.name,
-                            worker,
-                            version: work.version,
-                            tag: work.tag,
-                            start,
-                            end,
-                            discarded: true,
-                        });
                     }
                     hub.add(worker, Counter::WastedUs, busy);
                 } else {
@@ -363,18 +349,6 @@ pub fn try_run<W: Workload>(
                     match outcome {
                         None => {
                             // Faulted: reuse the misspeculation path.
-                            if cfg.trace {
-                                trace.push(TaskTrace {
-                                    id: work.id,
-                                    name: work.name,
-                                    worker,
-                                    version: work.version,
-                                    tag: work.tag,
-                                    start,
-                                    end,
-                                    discarded: true,
-                                });
-                            }
                             hub.add(worker, Counter::WastedUs, busy);
                             if let Some(vers) = sched.fault(work.id) {
                                 let mut ctx = SimCtx {
@@ -407,30 +381,6 @@ pub fn try_run<W: Workload>(
                             }
                         }
                         Some(output) => {
-                            if tracer.is_enabled() {
-                                tracer.emit_at(
-                                    worker,
-                                    end,
-                                    EventKind::TaskEnd {
-                                        id: work.id,
-                                        name: work.name,
-                                        version: work.version,
-                                        discarded: false,
-                                    },
-                                );
-                            }
-                            if cfg.trace {
-                                trace.push(TaskTrace {
-                                    id: work.id,
-                                    name: work.name,
-                                    worker,
-                                    version: work.version,
-                                    tag: work.tag,
-                                    start,
-                                    end,
-                                    discarded: false,
-                                });
-                            }
                             let mut echo = false;
                             match cfg.faults.draw(FaultSite::Completion) {
                                 Some(FaultKind::DelayCompletion { us }) => {
@@ -442,6 +392,7 @@ pub fn try_run<W: Workload>(
                                     events.delayed.insert(
                                         key,
                                         Delayed {
+                                            worker,
                                             id: work.id,
                                             name: work.name,
                                             version: work.version,
@@ -463,6 +414,19 @@ pub fn try_run<W: Workload>(
                                         Some(CompletionOutcome::Deliver),
                                         "un-aborted completion delivers"
                                     );
+                                    if tracer.is_enabled() {
+                                        tracer.emit_at(
+                                            worker,
+                                            end,
+                                            EventKind::TaskEnd {
+                                                id: work.id,
+                                                name: work.name,
+                                                version: work.version,
+                                                tag: work.tag,
+                                                discarded: false,
+                                            },
+                                        );
+                                    }
                                     if echo {
                                         let _ = sched.try_complete(work.id);
                                     }
@@ -495,7 +459,21 @@ pub fn try_run<W: Workload>(
                     .remove(&aux)
                     .expect("delayed completion recorded");
                 let busy = d.end - d.start;
-                match sched.try_complete(d.id) {
+                let outcome = sched.try_complete(d.id);
+                if tracer.is_enabled() && outcome.is_some() {
+                    tracer.emit_at(
+                        d.worker,
+                        d.end,
+                        EventKind::TaskEnd {
+                            id: d.id,
+                            name: d.name,
+                            version: d.version,
+                            tag: d.tag,
+                            discarded: outcome == Some(CompletionOutcome::Discard),
+                        },
+                    );
+                }
+                match outcome {
                     None => {}
                     Some(CompletionOutcome::Discard) => {
                         // The version died while the completion was held
@@ -569,11 +547,7 @@ pub fn try_run<W: Workload>(
     // Flush any virtual-sampling boundary the last event crossed exactly.
     hub.virtual_tick(last_event_time);
 
-    Ok(SimReport {
-        workload,
-        metrics,
-        trace,
-    })
+    Ok((workload, metrics))
 }
 
 /// Event discriminant kept `Copy + Ord` for the heap.
@@ -679,6 +653,7 @@ mod tests {
     use crate::platform::{x86_smp, FixedCost};
     use crate::task::{payload, TaskSpec};
     use tvs_faults::FaultPlan;
+    use tvs_trace::{SpanOutcome, TaskSpan};
 
     fn block(i: usize, t: Time, len: usize) -> InputBlock {
         InputBlock {
@@ -686,6 +661,21 @@ mod tests {
             arrival: t,
             data: vec![i as u8; len].into(),
         }
+    }
+
+    /// `cfg` with a fresh event tracer sized for its platform.
+    fn traced(cfg: &SimConfig) -> SimConfig {
+        SimConfig {
+            tracer: Tracer::enabled(cfg.platform.workers),
+            ..cfg.clone()
+        }
+    }
+
+    /// The task spans of `cfg`'s drained event log, which lost nothing.
+    fn spans(cfg: &SimConfig) -> Vec<TaskSpan> {
+        let log = cfg.tracer.drain().expect("enabled tracer drains");
+        assert_eq!(log.dropped, 0);
+        log.task_spans()
     }
 
     /// One task per block; finishes when all are processed.
@@ -721,20 +711,17 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
-        let cfg = SimConfig {
-            trace: true,
-            ..SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative)
-        };
+        let cfg = traced(&SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative));
         let inputs = vec![block(0, 0, 10), block(1, 0, 10), block(2, 0, 10)];
-        let rep = try_run(w, &cfg, &FixedCost(9), inputs).expect("run completes");
+        let (wl, m) = try_run(w, &cfg, &FixedCost(9), inputs).expect("run completes");
         // Each task costs 9 + 1 (dispatch overhead) = 10.
-        let ends: Vec<Time> = rep.workload.completions.iter().map(|c| c.1).collect();
+        let ends: Vec<Time> = wl.completions.iter().map(|c| c.1).collect();
         assert_eq!(ends, vec![10, 20, 30]);
-        assert_eq!(rep.metrics.makespan, 30);
-        assert_eq!(rep.metrics.tasks_delivered, 3);
-        assert_eq!(rep.metrics.busy_us, 30);
-        assert!((rep.metrics.utilization() - 1.0).abs() < 1e-9);
-        assert_eq!(rep.trace.len(), 3);
+        assert_eq!(m.makespan, 30);
+        assert_eq!(m.tasks_delivered, 3);
+        assert_eq!(m.busy_us, 30);
+        assert!((m.utilization() - 1.0).abs() < 1e-9);
+        assert_eq!(spans(&cfg).len(), 3);
     }
 
     #[test]
@@ -746,11 +733,8 @@ mod tests {
         };
         let cfg = SimConfig::new(x86_smp(4), DispatchPolicy::NonSpeculative);
         let inputs = (0..4).map(|i| block(i, 0, 10)).collect();
-        let rep = try_run(w, &cfg, &FixedCost(9), inputs).expect("run completes");
-        assert_eq!(
-            rep.metrics.makespan, 10,
-            "4 tasks on 4 workers run concurrently"
-        );
+        let (_, m) = try_run(w, &cfg, &FixedCost(9), inputs).expect("run completes");
+        assert_eq!(m.makespan, 10, "4 tasks on 4 workers run concurrently");
     }
 
     #[test]
@@ -762,11 +746,11 @@ mod tests {
         };
         let cfg = SimConfig::new(x86_smp(4), DispatchPolicy::NonSpeculative);
         let inputs = vec![block(0, 0, 10), block(1, 100, 10)];
-        let rep = try_run(w, &cfg, &FixedCost(4), inputs).expect("run completes");
-        let mut ends: Vec<Time> = rep.workload.completions.iter().map(|c| c.1).collect();
+        let (wl, m) = try_run(w, &cfg, &FixedCost(4), inputs).expect("run completes");
+        let mut ends: Vec<Time> = wl.completions.iter().map(|c| c.1).collect();
         ends.sort_unstable();
         assert_eq!(ends, vec![5, 105]);
-        assert_eq!(rep.metrics.makespan, 105);
+        assert_eq!(m.makespan, 105);
     }
 
     #[test]
@@ -776,15 +760,17 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
-        let cfg = SimConfig {
-            trace: true,
-            ..SimConfig::new(x86_smp(3), DispatchPolicy::NonSpeculative)
-        };
+        let cfg = SimConfig::new(x86_smp(3), DispatchPolicy::NonSpeculative);
         let inputs: Vec<InputBlock> = (0..16).map(|i| block(i, (i as u64) * 3, 64)).collect();
-        let a = try_run(mk(), &cfg, &FixedCost(7), inputs.clone()).expect("run completes");
-        let b = try_run(mk(), &cfg, &FixedCost(7), inputs).expect("run completes");
-        assert_eq!(a.trace, b.trace);
-        assert_eq!(a.metrics.makespan, b.metrics.makespan);
+        let run = |inputs| {
+            let cfg = traced(&cfg);
+            let (_, m) = try_run(mk(), &cfg, &FixedCost(7), inputs).expect("run completes");
+            (m, spans(&cfg))
+        };
+        let (a, a_spans) = run(inputs.clone());
+        let (b, b_spans) = run(inputs);
+        assert_eq!(a_spans, b_spans);
+        assert_eq!(a.makespan, b.makespan);
     }
 
     /// A workload that spawns a speculative task and aborts it; the
@@ -817,34 +803,89 @@ mod tests {
         }
     }
 
+    /// 'spec' runs 50 µs, everything else 2 µs.
+    struct SpecCost;
+    impl CostModel for SpecCost {
+        fn cost_us(&self, name: &str, _bytes: usize) -> Time {
+            if name == "spec" {
+                50
+            } else {
+                2
+            }
+        }
+    }
+
     #[test]
     fn aborted_version_outputs_are_discarded() {
         // Both tasks start at t=0 on separate workers; 'normal' is cheap
         // and finishes first, aborting version 1 while 'spec' is still in
         // flight; 'spec''s completion must be discarded.
-        struct NameCost;
-        impl CostModel for NameCost {
-            fn cost_us(&self, name: &str, _bytes: usize) -> Time {
-                if name == "spec" {
-                    50
-                } else {
-                    2
-                }
+        let cfg = traced(&SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive));
+        let (_, m) =
+            try_run(AbortingWl { phase: 0 }, &cfg, &SpecCost, vec![]).expect("run completes");
+        assert_eq!(m.tasks_discarded, 1);
+        assert_eq!(m.rollbacks, 1);
+        assert!(m.wasted_us >= 50, "discarded work must count as waste");
+        let spec = spans(&cfg).into_iter().find(|t| t.name == "spec").unwrap();
+        assert!(spec.discarded());
+    }
+
+    #[test]
+    fn a_faulted_speculative_body_is_a_faulted_span_charged_as_waste() {
+        struct SpecPanics {
+            done: bool,
+        }
+        impl Workload for SpecPanics {
+            fn on_start(&mut self, ctx: &mut dyn SchedCtx) {
+                ctx.spawn(TaskSpec::speculative("spec", 0, 0, 1, 0, |_| -> Payload {
+                    panic!("speculative body fault")
+                }));
+                ctx.spawn(TaskSpec::regular("normal", 0, 0, 0, |_| payload(())));
+            }
+            fn on_input(&mut self, _: &mut dyn SchedCtx, _: InputBlock) {}
+            fn on_complete(&mut self, _: &mut dyn SchedCtx, _: Completion) {
+                self.done = true;
+            }
+            fn is_finished(&self) -> bool {
+                self.done
             }
         }
-        let cfg = SimConfig {
-            trace: true,
-            ..SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive)
-        };
-        let rep = try_run(AbortingWl { phase: 0 }, &cfg, &NameCost, vec![]).expect("run completes");
-        assert_eq!(rep.metrics.tasks_discarded, 1);
-        assert_eq!(rep.metrics.rollbacks, 1);
-        assert!(
-            rep.metrics.wasted_us >= 50,
-            "discarded work must count as waste"
+        let cfg = traced(&SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive));
+        let (_, m) = try_run(SpecPanics { done: false }, &cfg, &SpecCost, vec![])
+            .expect("a speculative fault aborts its version");
+        assert_eq!(m.faults, 1);
+        let spans = spans(&cfg);
+        let spec = spans.iter().find(|t| t.name == "spec").unwrap();
+        assert_eq!(spec.outcome, SpanOutcome::Faulted);
+        assert!(spec.busy_us() >= 50);
+        assert_eq!(m.wasted_us, spec.busy_us());
+        assert_eq!(m.busy_us, spans.iter().map(|t| t.busy_us()).sum::<Time>());
+    }
+
+    #[test]
+    fn a_delayed_completion_ends_with_the_verdict_at_delivery() {
+        // Every completion is held back 100 µs: 'normal' is delivered and
+        // aborts version 1 after 'spec''s body has finished but before
+        // its own delayed delivery, so the scheduler discards 'spec' —
+        // and its task-end, stamped at the body's end, says so.
+        let delay = FaultPlan::new(1).with_rule(
+            FaultSite::Completion,
+            FaultKind::DelayCompletion { us: 100 },
+            1.0,
         );
-        let spec_trace = rep.trace.iter().find(|t| t.name == "spec").unwrap();
-        assert!(spec_trace.discarded);
+        let cfg = SimConfig {
+            faults: FaultInjector::new(delay),
+            ..traced(&SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive))
+        };
+        let (_, m) =
+            try_run(AbortingWl { phase: 0 }, &cfg, &SpecCost, vec![]).expect("run completes");
+        assert_eq!((m.tasks_delivered, m.tasks_discarded), (1, 1));
+        let spans = spans(&cfg);
+        let spec = spans.iter().find(|t| t.name == "spec").unwrap();
+        assert_eq!(spec.outcome, SpanOutcome::Discarded);
+        assert!(spec.end < 100, "stamped at the body's end, not at delivery");
+        assert_eq!(m.wasted_us, spec.busy_us());
+        assert_eq!(m.busy_us, spans.iter().map(|t| t.busy_us()).sum::<Time>());
     }
 
     #[test]
@@ -891,19 +932,19 @@ mod tests {
         let mut plat = x86_smp(1);
         plat.prefetch_depth = 2;
         let cfg = SimConfig::new(plat, DispatchPolicy::NonSpeculative);
-        let rep =
+        let (wl, _) =
             try_run(TwoPhase { seen: vec![] }, &cfg, &FixedCost(5), vec![]).expect("run completes");
         assert_eq!(
-            rep.workload.seen,
+            wl.seen,
             vec!["a", "b", "deep"],
             "prefetched 'b' runs before 'deep'"
         );
 
         let cfg1 = SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative);
-        let rep1 = try_run(TwoPhase { seen: vec![] }, &cfg1, &FixedCost(5), vec![])
+        let (wl1, _) = try_run(TwoPhase { seen: vec![] }, &cfg1, &FixedCost(5), vec![])
             .expect("run completes");
         assert_eq!(
-            rep1.workload.seen,
+            wl1.seen,
             vec!["a", "deep", "b"],
             "without prefetch, depth wins"
         );
@@ -922,8 +963,8 @@ mod tests {
             ..SimConfig::new(x86_smp(1), DispatchPolicy::NonSpeculative)
         };
         let inputs = vec![block(0, 0, 10), block(1, 0, 10), block(2, 0, 10)];
-        let rep = try_run(w, &cfg, &FixedCost(9), inputs).expect("run completes");
-        assert_eq!(rep.metrics.makespan, 30);
+        let (_, m) = try_run(w, &cfg, &FixedCost(9), inputs).expect("run completes");
+        assert_eq!(m.makespan, 30);
         let log = tracer.drain().expect("enabled tracer drains");
         assert_eq!(log.timebase, tvs_trace::Timebase::Virtual);
         assert_eq!(log.count("dispatch"), 3);
@@ -948,19 +989,20 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
-        let cfg = SimConfig {
-            trace: true,
-            ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
-        };
+        let cfg = SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative);
         let inputs: Vec<InputBlock> = (0..8).map(|i| block(i, (i as u64) * 2, 32)).collect();
-        let plain = try_run(mk(), &cfg, &FixedCost(5), inputs.clone()).expect("run completes");
-        let traced_cfg = SimConfig {
-            tracer: Tracer::enabled(2),
-            ..cfg
-        };
-        let traced = try_run(mk(), &traced_cfg, &FixedCost(5), inputs).expect("run completes");
-        assert_eq!(plain.metrics, traced.metrics);
-        assert_eq!(plain.trace, traced.trace);
+        let (_, plain) = try_run(mk(), &cfg, &FixedCost(5), inputs.clone()).expect("run completes");
+        let traced_cfg = traced(&cfg);
+        let (_, traced) = try_run(mk(), &traced_cfg, &FixedCost(5), inputs).expect("run completes");
+        assert_eq!(plain, traced);
+        // The traced run's task record accounts for the untraced run's
+        // busy time, task by task.
+        let spans = spans(&traced_cfg);
+        assert_eq!(spans.len() as u64, plain.tasks_delivered);
+        assert_eq!(
+            spans.iter().map(|t| t.busy_us()).sum::<u64>(),
+            plain.busy_us
+        );
     }
 
     #[test]
@@ -992,12 +1034,12 @@ mod tests {
             }
         }
         let cfg = SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative);
-        let rep =
+        let (_, m) =
             try_run(EarlyExit { done: false }, &cfg, &ByteCost, vec![]).expect("run completes");
         assert!(
-            rep.metrics.makespan < 100,
+            m.makespan < 100,
             "makespan {} should not wait for the straggler",
-            rep.metrics.makespan
+            m.makespan
         );
     }
 
@@ -1010,10 +1052,7 @@ mod tests {
             seen: 0,
             completions: vec![],
         };
-        let cfg = SimConfig {
-            trace: true,
-            ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
-        };
+        let cfg = SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative);
         let plan = || {
             FaultPlan::new(77)
                 .with_rule(FaultSite::TaskBody, FaultKind::PanicTask, 0.3)
@@ -1031,15 +1070,15 @@ mod tests {
             ..cfg.clone()
         };
         let inputs: Vec<InputBlock> = (0..12).map(|i| block(i, (i as u64) * 2, 16)).collect();
-        let a = try_run(mk(), &chaos(), &FixedCost(5), inputs.clone()).expect("chaos run recovers");
-        let b = try_run(mk(), &chaos(), &FixedCost(5), inputs).expect("chaos run recovers");
-        assert_eq!(a.metrics, b.metrics, "chaos is replayable");
-        assert_eq!(a.workload.seen, 12);
-        assert_eq!(b.workload.seen, 12);
+        let (a_wl, a) =
+            try_run(mk(), &chaos(), &FixedCost(5), inputs.clone()).expect("chaos run recovers");
+        let (b_wl, b) = try_run(mk(), &chaos(), &FixedCost(5), inputs).expect("chaos run recovers");
+        assert_eq!(a, b, "chaos is replayable");
+        assert_eq!(a_wl.seen, 12);
+        assert_eq!(b_wl.seen, 12);
         assert!(
-            a.metrics.faults > 0 || a.metrics.duplicate_completions > 0,
-            "the plan fired something: {:?}",
-            a.metrics
+            a.faults > 0 || a.duplicate_completions > 0,
+            "the plan fired something: {a:?}"
         );
     }
 
@@ -1113,7 +1152,6 @@ mod tests {
         }
         let tracer = Tracer::enabled(2);
         let cfg = SimConfig {
-            trace: true,
             tracer: tracer.clone(),
             watchdog: Some(WatchdogConfig {
                 deadline_us: 1_000,
@@ -1121,11 +1159,11 @@ mod tests {
             }),
             ..SimConfig::new(x86_smp(2), DispatchPolicy::Aggressive)
         };
-        let rep = try_run(SpecOnly { fault_free: false }, &cfg, &NameCost, vec![])
+        let (_, m) = try_run(SpecOnly { fault_free: false }, &cfg, &NameCost, vec![])
             .expect("watchdog recovers the run");
-        assert_eq!(rep.metrics.watchdog_cancels, 1);
-        assert_eq!(rep.metrics.rollbacks, 1);
-        assert_eq!(rep.metrics.tasks_discarded, 1);
+        assert_eq!(m.watchdog_cancels, 1);
+        assert_eq!(m.rollbacks, 1);
+        assert_eq!(m.tasks_discarded, 1);
         let log = tracer.drain().unwrap();
         let cancel = log
             .events

@@ -650,19 +650,6 @@ fn spawn_worker<W: Send + 'static>(
                         fabric.hub.add(me, clock, slice);
                         fabric.hub.record(Hist::RunSliceUs, slice);
                         mark = finished;
-                        if traced {
-                            if let BodyResult::Ran(_) = body {
-                                fabric.tracer.emit(
-                                    me,
-                                    EventKind::TaskEnd {
-                                        id: work.id,
-                                        name: work.name,
-                                        version: work.version,
-                                        discarded: work.ctx.aborted(),
-                                    },
-                                );
-                            }
-                        }
                         let report = Finished {
                             id: work.id,
                             name: work.name,
@@ -751,14 +738,12 @@ fn spawn_worker<W: Send + 'static>(
 ///
 /// Dispatch, predictor/check/commit and rollback events are emitted on the
 /// control ring (their emitters hold the commit lock, keeping that ring
-/// single-writer); steal, task-start/end, task-fault and park/unpark
-/// events land on the emitting worker's own ring. Timestamps are
-/// wall-clock µs from the tracer's epoch. A task-end's `discarded` flag
-/// reflects the abort flag at completion time — a task whose version is
-/// rolled back *after* it finishes but before the router routes it is
-/// counted as wasted in [`RunMetrics`] but not flagged in the trace (the
-/// simulator's virtual trace is exact; this executor's is a per-task
-/// approximation).
+/// single-writer); steal, task-start, task-fault and park/unpark events
+/// land on the emitting worker's own ring. Timestamps are wall-clock µs
+/// from the tracer's epoch. The router emits each task-end on the control
+/// ring when it routes the completion, stamped at the body's end, so its
+/// `discarded` flag is the scheduler's verdict — the same one
+/// [`RunMetrics`] counts.
 pub fn try_run<W, I>(
     workload: W,
     cfg: &ThreadedConfig,
@@ -1090,7 +1075,26 @@ where
                                 let busy = finished.saturating_sub(started);
                                 fabric.hub.add_control(Counter::BusyUs, busy);
                                 inner.sched.charge(class, busy);
-                                match inner.sched.try_complete(id) {
+                                let outcome = inner.sched.try_complete(id);
+                                if fabric.tracer.is_enabled() && outcome.is_some() {
+                                    // The scheduler's verdict, stamped at
+                                    // the body's end on the control ring
+                                    // (the commit lock keeps it
+                                    // single-writer). `finished` is floored
+                                    // to the µs: round up, so the end never
+                                    // sorts before the body's task-start.
+                                    fabric.tracer.emit_control_at(
+                                        fabric.start + Duration::from_micros(finished + 1),
+                                        EventKind::TaskEnd {
+                                            id,
+                                            name,
+                                            version,
+                                            tag,
+                                            discarded: outcome == Some(CompletionOutcome::Discard),
+                                        },
+                                    );
+                                }
+                                match outcome {
                                     None => {}
                                     Some(CompletionOutcome::Discard) => {
                                         fabric.hub.add_control(Counter::WastedUs, busy);
@@ -1432,6 +1436,11 @@ mod tests {
         assert_eq!(log.count("dispatch"), 16, "one dispatch per task");
         assert_eq!(log.count("task-start"), 16);
         assert_eq!(log.count("task-end"), 16);
+        // The router's task-end pairs with the worker's task-start even
+        // for these sub-µs bodies, and the span keeps the worker's track.
+        let spans = log.task_spans();
+        assert_eq!(spans.len(), 16);
+        assert!(spans.iter().all(|s| (s.worker as usize) < log.workers));
         assert_eq!(
             log.count("steal") as u64,
             m.steals,

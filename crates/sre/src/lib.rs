@@ -30,7 +30,7 @@
 //!   work stealing and a dedicated completion-router thread (the
 //!   pre-sharding single-lock runtime survives as [`exec::baseline`] for
 //!   benchmarking);
-//! * [`metrics`] — per-task traces and aggregate counters shared by both.
+//! * [`metrics`] — the aggregate run metrics every executor reports.
 //!
 //! Speculation *policy* (predictors, tolerance checks, wait buffers,
 //! rollback orchestration) lives one crate up, in `tvs-core`; this crate
@@ -55,7 +55,7 @@ pub use fault::{
     into_inner_recover, lock_recover, RetryPolicy, RunError, SupervisorConfig, WatchdogConfig,
 };
 pub use mapreduce::{MapReduce, Summary};
-pub use metrics::{RunMetrics, TaskTrace};
+pub use metrics::RunMetrics;
 pub use platform::{cell_be, x86_smp, CostModel, FixedCost, Platform};
 pub use policy::DispatchPolicy;
 pub use replica::{DigestFn, ReplicaStats, ReplicatingWorkload, ValidationMode};

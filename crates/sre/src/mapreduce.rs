@@ -22,8 +22,8 @@
 //! let inputs: Vec<InputBlock> = (0..8)
 //!     .map(|i| InputBlock { index: i, arrival: i as u64, data: vec![0u8; 100].into() })
 //!     .collect();
-//! let report = try_run(wl, &cfg, &FixedCost(10), inputs).expect("run completes");
-//! assert_eq!(report.workload.result().0, 800);
+//! let (wl, _metrics) = try_run(wl, &cfg, &FixedCost(10), inputs).expect("run completes");
+//! assert_eq!(wl.result().0, 800);
 //! ```
 //!
 //! The reduce chain is deliberately *serial* (each group folds into the
@@ -237,8 +237,8 @@ mod tests {
             .iter()
             .map(|b| b.data.iter().map(|&x| x as u64).sum())
             .collect();
-        let rep = try_run(wl, &cfg, &FixedCost(5), inputs).expect("run completes");
-        (rep.workload, expect)
+        let (wl, _) = try_run(wl, &cfg, &FixedCost(5), inputs).expect("run completes");
+        (wl, expect)
     }
 
     #[test]
@@ -288,12 +288,15 @@ mod tests {
         let wl =
             MapReduce::new(4, 2, |d: &[u8]| Sum(d.len() as u64)).with_task_names("count", "fold");
         let cfg = SimConfig {
-            trace: true,
+            tracer: crate::Tracer::enabled(2),
             ..SimConfig::new(x86_smp(2), DispatchPolicy::NonSpeculative)
         };
-        let rep = try_run(wl, &cfg, &NamedCost, blocks(4, 10)).expect("run completes");
-        assert_eq!(rep.workload.result().0, 40);
-        assert!(rep.trace.iter().any(|t| t.name == "count"));
-        assert!(rep.trace.iter().any(|t| t.name == "fold"));
+        let (wl, _) = try_run(wl, &cfg, &NamedCost, blocks(4, 10)).expect("run completes");
+        assert_eq!(wl.result().0, 40);
+        let log = cfg.tracer.drain().expect("enabled tracer drains");
+        assert_eq!(log.dropped, 0);
+        let spans = log.task_spans();
+        assert!(spans.iter().any(|t| t.name == "count"));
+        assert!(spans.iter().any(|t| t.name == "fold"));
     }
 }

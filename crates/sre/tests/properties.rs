@@ -18,7 +18,7 @@ use tvs_sre::policy::LaneLoads;
 use tvs_sre::queue::ReadyQueue;
 use tvs_sre::task::{payload, TaskClass, TaskSpec};
 use tvs_sre::workload::{Completion, InputBlock, SchedCtx, Workload};
-use tvs_sre::{x86_smp, CostModel, DispatchPolicy, Scheduler, Time};
+use tvs_sre::{x86_smp, CostModel, DispatchPolicy, Scheduler, Time, Tracer};
 
 // ---------------------------------------------------------------------
 // Ready queue vs a transparent reference model
@@ -259,23 +259,29 @@ fn prop_sim_deterministic_and_exclusive() {
     cases(0xDE5, 32, |rng, case| {
         let script = tvs_rng::bytes(rng, 1..100);
         let workers = rng.random_range(1..6usize);
-        let cfg = SimConfig {
-            trace: true,
-            ..SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative)
+        // One recorded run: the workload, its metrics and its task spans.
+        let run = || {
+            let cfg = SimConfig {
+                tracer: Tracer::enabled(workers),
+                ..SimConfig::new(x86_smp(workers), DispatchPolicy::NonSpeculative)
+            };
+            let wl = FanOut {
+                script: script.clone(),
+                spawned: 0,
+                seen: 0,
+            };
+            let (wl, m) = run_sim(wl, &cfg, &TagCost, vec![]).expect("run completes");
+            let log = cfg.tracer.drain().expect("enabled tracer drains");
+            assert_eq!(log.dropped, 0, "case {case}");
+            (wl, m, log.task_spans())
         };
-        let mk = || FanOut {
-            script: script.clone(),
-            spawned: 0,
-            seen: 0,
-        };
-        let a = run_sim(mk(), &cfg, &TagCost, vec![]).expect("run completes");
-        let b = run_sim(mk(), &cfg, &TagCost, vec![]).expect("run completes");
-        assert_eq!(&a.trace, &b.trace, "case {case}");
-        assert_eq!(a.metrics.makespan, b.metrics.makespan, "case {case}");
+        let (a_wl, a, a_trace) = run();
+        let (_, b, b_trace) = run();
+        assert_eq!(&a_trace, &b_trace, "case {case}");
+        assert_eq!(a.makespan, b.makespan, "case {case}");
         // Worker exclusivity.
-        for w in 0..workers {
-            let mut spans: Vec<(Time, Time)> = a
-                .trace
+        for w in 0..workers as u32 {
+            let mut spans: Vec<(Time, Time)> = a_trace
                 .iter()
                 .filter(|t| t.worker == w)
                 .map(|t| (t.start, t.end))
@@ -289,11 +295,11 @@ fn prop_sim_deterministic_and_exclusive() {
             }
         }
         // Conservation: every spawned task traced exactly once.
-        assert_eq!(a.trace.len(), a.workload.spawned);
+        assert_eq!(a_trace.len(), a_wl.spawned);
         // The simulator's per-worker binding counts cover every task.
         assert_eq!(
-            a.metrics.lane_dispatches.iter().sum::<u64>(),
-            a.trace.len() as u64,
+            a.lane_dispatches.iter().sum::<u64>(),
+            a_trace.len() as u64,
             "case {case}"
         );
     });
@@ -393,7 +399,7 @@ fn prop_cross_executor_outputs_identical() {
         let reference = sorted(
             run_sim(TwoStage::new(n_blocks), &sim_cfg, &TagCost, sim_inputs)
                 .expect("run completes")
-                .workload
+                .0
                 .results,
         );
         assert_eq!(reference.len(), n_blocks);
@@ -413,7 +419,7 @@ fn prop_cross_executor_outputs_identical() {
             let got = sorted(
                 run_sim(TwoStage::new(n_blocks), &cfg, &TagCost, sim_inputs)
                     .expect("run completes")
-                    .workload
+                    .0
                     .results,
             );
             assert_eq!(got, reference, "case {case}: sim@{workers} diverged");

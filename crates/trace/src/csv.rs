@@ -1,5 +1,4 @@
-//! Flat CSV event dump, plus the RFC-4180-style field escaping shared with
-//! `tvs-sre`'s task-trace CSV.
+//! Flat CSV event dump and its RFC-4180-style field escaping.
 
 use crate::event::{EventKind, TraceLog};
 use std::fmt::Write as _;
@@ -79,7 +78,7 @@ impl TraceLog {
     ///
     /// Columns: `seq,worker,wall_us,virt_us,event,id,name,class,version,aux,aux2`
     /// where `aux`/`aux2` carry the event-specific payload — `lane` for
-    /// dispatch, `victim` for steal, `discarded` for task-end, `basis` for
+    /// dispatch, `victim` for steal, `discarded`/`tag` for task-end, `basis` for
     /// predictor-fire/version-open, `root`/`depth` for lineage-open (whose
     /// `id` column carries the parent version), `margin` for checks, `cascade_depth`
     /// for rollback, `entries` for undo-replay, `attempt` for task-fault,
@@ -127,6 +126,7 @@ impl TraceLog {
                     id,
                     name,
                     version,
+                    tag,
                     discarded,
                 } => (
                     id.to_string(),
@@ -134,7 +134,7 @@ impl TraceLog {
                     String::new(),
                     fmt_version(*version),
                     discarded.to_string(),
-                    String::new(),
+                    tag.to_string(),
                 ),
                 EventKind::CancelReady { id, version } => (
                     id.to_string(),

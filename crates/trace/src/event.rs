@@ -75,8 +75,10 @@ pub enum EventKind {
         name: &'static str,
         /// Speculation version, if any.
         version: Option<u32>,
-        /// Whether the output was (or will be) discarded because the
-        /// version was aborted — wasted work.
+        /// Application tag (e.g. the block index).
+        tag: u64,
+        /// Whether the scheduler discarded the output because the version
+        /// was aborted — wasted work.
         discarded: bool,
     },
     /// A lane-bound task was cancelled by rollback before it ever ran

@@ -179,9 +179,10 @@ const TIMELINE_BUCKETS: u64 = 20;
 impl TraceLog {
     /// Compute speculation-health aggregates from this log.
     ///
-    /// Task durations come from paired task-start/end events; each task is
-    /// attributed to the timeline bucket its *end* falls in. Check latency
-    /// is measured dispatch → task-end (queueing included — that is the
+    /// Task durations come from [`TraceLog::task_spans`]; each task is
+    /// attributed to the timeline bucket its *end* falls in, and a
+    /// discarded or faulted span counts as wasted. Check latency is
+    /// measured dispatch → span end (queueing included — that is the
     /// latency the speculation loop actually sees).
     pub fn health(&self) -> SpecHealth {
         let tb = self.timebase;
@@ -203,36 +204,15 @@ impl TraceLog {
             })
             .collect();
 
-        let mut starts: HashMap<u64, u64> = HashMap::new();
-        let mut dispatches: HashMap<u64, (ClassTag, u64)> = HashMap::new();
-        let mut check_lat: Vec<u64> = Vec::new();
+        // Dispatch stamps of check-class tasks, for their latency.
+        let mut check_dispatches: HashMap<u64, u64> = HashMap::new();
         let mut cascade_counts: HashMap<u64, u64> = HashMap::new();
 
         for e in &self.events {
-            let ts = e.ts(tb);
             match &e.kind {
                 EventKind::Dispatch { id, class, .. } => {
-                    dispatches.insert(*id, (*class, ts));
-                }
-                EventKind::TaskStart { id, .. } => {
-                    starts.insert(*id, ts);
-                }
-                EventKind::TaskEnd { id, discarded, .. } => {
-                    let start = starts.remove(id).unwrap_or(ts);
-                    let dur = ts.saturating_sub(start);
-                    h.busy_us += dur;
-                    if *discarded {
-                        h.wasted_us += dur;
-                    }
-                    let bi = ((ts.saturating_sub(1)) / bucket_w).min(n_buckets - 1) as usize;
-                    timeline[bi].busy_us += dur;
-                    if *discarded {
-                        timeline[bi].wasted_us += dur;
-                    }
-                    if let Some((class, disp_ts)) = dispatches.remove(id) {
-                        if class == ClassTag::Check {
-                            check_lat.push(ts.saturating_sub(disp_ts));
-                        }
+                    if *class == ClassTag::Check {
+                        check_dispatches.insert(*id, e.ts(tb));
                     }
                 }
                 EventKind::Steal { .. } => h.steals += 1,
@@ -261,7 +241,26 @@ impl TraceLog {
                 EventKind::LadderStep { .. } => h.ladder_steps += 1,
                 EventKind::WorkerQuarantine { .. } => h.worker_quarantines += 1,
                 EventKind::WorkerRespawn { .. } => h.worker_respawns += 1,
-                EventKind::Park | EventKind::Unpark | EventKind::LineageOpen { .. } => {}
+                EventKind::TaskStart { .. }
+                | EventKind::TaskEnd { .. }
+                | EventKind::Park
+                | EventKind::Unpark
+                | EventKind::LineageOpen { .. } => {}
+            }
+        }
+
+        let mut check_lat: Vec<u64> = Vec::new();
+        for span in self.task_spans() {
+            let dur = span.busy_us();
+            let bi = ((span.end.saturating_sub(1)) / bucket_w).min(n_buckets - 1) as usize;
+            h.busy_us += dur;
+            timeline[bi].busy_us += dur;
+            if span.discarded() {
+                h.wasted_us += dur;
+                timeline[bi].wasted_us += dur;
+            }
+            if let Some(disp_ts) = check_dispatches.get(&span.id) {
+                check_lat.push(span.end.saturating_sub(*disp_ts));
             }
         }
 
@@ -280,52 +279,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Timebase, TraceEvent};
-
-    fn ev(seq: u64, ts: u64, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            seq,
-            worker: 0,
-            wall_us: ts,
-            virt_us: ts,
-            kind,
-        }
-    }
-
-    fn task(seq: u64, id: u64, start: u64, end: u64, discarded: bool) -> Vec<TraceEvent> {
-        vec![
-            ev(
-                seq,
-                start,
-                EventKind::TaskStart {
-                    id,
-                    name: "t",
-                    version: None,
-                },
-            ),
-            ev(
-                seq + 1,
-                end,
-                EventKind::TaskEnd {
-                    id,
-                    name: "t",
-                    version: None,
-                    discarded,
-                },
-            ),
-        ]
-    }
-
-    fn mk(events: Vec<TraceEvent>) -> TraceLog {
-        TraceLog {
-            workers: 1,
-            timebase: Timebase::Virtual,
-            events,
-            dropped: 0,
-            dropped_per_worker: vec![0, 0],
-            label: String::new(),
-        }
-    }
+    use crate::testkit::{ev, log, task};
 
     #[test]
     fn latency_percentiles() {
@@ -340,9 +294,9 @@ mod tests {
 
     #[test]
     fn waste_accounting_and_timeline() {
-        let mut events = task(0, 1, 0, 100, false);
-        events.extend(task(2, 2, 0, 50, true));
-        let h = mk(events).health();
+        let mut events = task(0, 1, None, 0, 100, false).to_vec();
+        events.extend(task(2, 2, None, 0, 50, true));
+        let h = log(1, events).health();
         assert_eq!(h.busy_us, 150);
         assert_eq!(h.wasted_us, 50);
         assert!((h.waste_ratio() - 50.0 / 150.0).abs() < 1e-12);
@@ -362,7 +316,7 @@ mod tests {
         assert!(!r.is_nan(), "waste ratio must never be NaN");
         assert_eq!(r, 0.0);
         // Same for an empty log end to end.
-        let r = mk(vec![]).health().waste_ratio();
+        let r = log(1, vec![]).health().waste_ratio();
         assert!(!r.is_nan());
         assert_eq!(r, 0.0);
         // And for the timeline buckets.
@@ -381,36 +335,16 @@ mod tests {
                 depth: 0,
             },
         )];
-        events.extend(vec![
-            ev(
-                1,
-                5,
-                EventKind::TaskStart {
-                    id: 1,
-                    name: "t",
-                    version: Some(1),
-                },
-            ),
-            ev(
-                2,
-                30,
-                EventKind::TaskEnd {
-                    id: 1,
-                    name: "t",
-                    version: Some(1),
-                    discarded: true,
-                },
-            ),
-            ev(
-                3,
-                30,
-                EventKind::Rollback {
-                    version: 1,
-                    cascade_depth: 2,
-                },
-            ),
-        ]);
-        let h = mk(events).health();
+        events.extend(task(1, 1, Some(1), 5, 30, true));
+        events.push(ev(
+            3,
+            30,
+            EventKind::Rollback {
+                version: 1,
+                cascade_depth: 2,
+            },
+        ));
+        let h = log(1, events).health();
         assert_eq!(h.lineage.len(), 1);
         assert_eq!(h.lineage[0].root, 1);
         assert_eq!(h.lineage[0].wasted_us, 25);
@@ -447,7 +381,7 @@ mod tests {
                 },
             ),
         ];
-        let h = mk(events).health();
+        let h = log(1, events).health();
         assert_eq!(h.rollbacks, 3);
         assert_eq!(h.cascade_total, 6);
         assert_eq!(h.max_cascade, 3);
@@ -467,8 +401,8 @@ mod tests {
                 lane: 0,
             },
         )];
-        events.extend(task(1, 5, 30, 40, false));
-        let h = mk(events).health();
+        events.extend(task(1, 5, None, 30, 40, false));
+        let h = log(1, events).health();
         assert_eq!(h.check_latency.count, 1);
         assert_eq!(h.check_latency.max, 30, "dispatch(10) -> end(40)");
     }
@@ -520,7 +454,7 @@ mod tests {
                 },
             ),
         ];
-        let h = mk(events).health();
+        let h = log(1, events).health();
         assert_eq!(h.predictor_fires, 1);
         assert_eq!(h.versions_opened, 1);
         assert_eq!(h.checks_passed, 1);
@@ -548,7 +482,7 @@ mod tests {
             ev(4, 5, EventKind::ReplicaDispatch { id: 5, of: 3 }),
             ev(5, 6, EventKind::SdcResolved { id: 3 }),
         ];
-        let h = mk(events).health();
+        let h = log(1, events).health();
         assert_eq!(h.replica_dispatches, 3);
         assert_eq!(h.replica_matches, 1);
         assert_eq!(h.sdc_detected, 1);

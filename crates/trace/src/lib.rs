@@ -45,8 +45,12 @@ pub mod health;
 pub mod lineage;
 pub mod perfetto;
 pub mod ring;
+pub mod span;
+#[cfg(test)]
+mod testkit;
 
 pub use event::{ClassTag, EventKind, Timebase, TraceEvent, TraceLog};
 pub use health::{LatencyStats, SpecHealth, WasteBucket};
 pub use lineage::{LineageCost, LineageId, LineageTable, VersionCost};
 pub use ring::{Tracer, DEFAULT_RING_CAPACITY};
+pub use span::{SpanOutcome, TaskSpan};

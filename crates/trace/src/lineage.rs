@@ -123,7 +123,6 @@ impl LineageTable {
     /// (hand-built logs, or traces from before the flight recorder)
     /// become their own root at depth 0, so the table is total.
     pub fn from_log(log: &TraceLog) -> LineageTable {
-        let tb = log.timebase;
         let mut ids: HashMap<u32, LineageId> = HashMap::new();
         // First pass: lineage declarations, then a default for any
         // version mentioned anywhere without one.
@@ -167,32 +166,19 @@ impl LineageTable {
             })
             .collect();
 
-        // Second pass: attribute costs. Task durations pair start/end by
-        // id, exactly as SpecHealth does, so the wasted-µs conservation
-        // invariant holds by construction.
-        let mut starts: HashMap<u64, u64> = HashMap::new();
+        // Wasted time comes from the same task spans SpecHealth reads, so
+        // the wasted-µs conservation invariant holds by construction.
         let mut unattributed = 0u64;
+        for span in log.task_spans().iter().filter(|s| s.discarded()) {
+            match span.version.and_then(|v| costs.get_mut(&v)) {
+                Some(c) => c.wasted_us += span.busy_us(),
+                None => unattributed += span.busy_us(),
+            }
+        }
+
+        // Second pass: the version-keyed lifecycle costs.
         for e in &log.events {
-            let ts = e.ts(tb);
             match &e.kind {
-                EventKind::TaskStart { id, .. } => {
-                    starts.insert(*id, ts);
-                }
-                EventKind::TaskEnd {
-                    id,
-                    version,
-                    discarded,
-                    ..
-                } => {
-                    let start = starts.remove(id).unwrap_or(ts);
-                    if *discarded {
-                        let dur = ts.saturating_sub(start);
-                        match version.and_then(|v| costs.get_mut(&v)) {
-                            Some(c) => c.wasted_us += dur,
-                            None => unattributed += dur,
-                        }
-                    }
-                }
                 EventKind::Commit { version } => {
                     if let Some(c) = costs.get_mut(version) {
                         c.commits += 1;
@@ -406,28 +392,8 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Timebase, TraceEvent};
-
-    fn ev(seq: u64, ts: u64, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            seq,
-            worker: 0,
-            wall_us: ts,
-            virt_us: ts,
-            kind,
-        }
-    }
-
-    fn mk(events: Vec<TraceEvent>) -> TraceLog {
-        TraceLog {
-            workers: 1,
-            timebase: Timebase::Virtual,
-            events,
-            dropped: 0,
-            dropped_per_worker: vec![0, 0],
-            label: String::new(),
-        }
-    }
+    use crate::event::TraceEvent;
+    use crate::testkit::{ev, log, task};
 
     fn open(seq: u64, ts: u64, version: u32, root: u32, parent: u32, depth: u32) -> TraceEvent {
         ev(
@@ -442,37 +408,6 @@ mod tests {
         )
     }
 
-    fn spec_task(
-        seq: u64,
-        id: u64,
-        version: u32,
-        start: u64,
-        end: u64,
-        d: bool,
-    ) -> [TraceEvent; 2] {
-        [
-            ev(
-                seq,
-                start,
-                EventKind::TaskStart {
-                    id,
-                    name: "t",
-                    version: Some(version),
-                },
-            ),
-            ev(
-                seq + 1,
-                end,
-                EventKind::TaskEnd {
-                    id,
-                    name: "t",
-                    version: Some(version),
-                    discarded: d,
-                },
-            ),
-        ]
-    }
-
     /// A two-deep cascade (v1 → v2 → v3 commits) plus an independent root
     /// v4 that commits clean.
     fn cascade_log() -> TraceLog {
@@ -482,10 +417,10 @@ mod tests {
             open(2, 20, 3, 1, 2, 2),
             open(3, 30, 4, 4, 0, 0),
         ];
-        events.extend(spec_task(10, 100, 1, 0, 40, true));
-        events.extend(spec_task(12, 101, 2, 10, 40, true));
-        events.extend(spec_task(14, 102, 3, 20, 50, false));
-        events.extend(spec_task(16, 103, 4, 30, 60, false));
+        events.extend(task(10, 100, Some(1), 0, 40, true));
+        events.extend(task(12, 101, Some(2), 10, 40, true));
+        events.extend(task(14, 102, Some(3), 20, 50, false));
+        events.extend(task(16, 103, Some(4), 30, 60, false));
         events.extend([
             ev(
                 20,
@@ -522,7 +457,7 @@ mod tests {
             ev(24, 55, EventKind::Commit { version: 3 }),
             ev(25, 60, EventKind::Commit { version: 4 }),
         ]);
-        mk(events)
+        log(1, events)
     }
 
     #[test]
@@ -563,29 +498,9 @@ mod tests {
 
     #[test]
     fn unversioned_waste_lands_in_the_unattributed_bucket() {
-        let mut events = vec![
-            ev(
-                0,
-                0,
-                EventKind::TaskStart {
-                    id: 1,
-                    name: "t",
-                    version: None,
-                },
-            ),
-            ev(
-                1,
-                25,
-                EventKind::TaskEnd {
-                    id: 1,
-                    name: "t",
-                    version: None,
-                    discarded: true,
-                },
-            ),
-        ];
-        events.extend(spec_task(2, 2, 7, 0, 10, true));
-        let log = mk(events);
+        let mut events = task(0, 1, None, 0, 25, true).to_vec();
+        events.extend(task(2, 2, Some(7), 0, 10, true));
+        let log = log(1, events);
         let t = log.lineage();
         assert_eq!(t.unattributed_wasted_us, 25);
         // v7 never had a lineage-open: it defaults to its own root.

@@ -16,8 +16,7 @@
 //!
 //! Timestamps are µs (the format's native unit) in the log's timebase.
 
-use crate::event::{EventKind, TraceEvent, TraceLog};
-use std::collections::HashMap;
+use crate::event::{EventKind, TraceLog};
 use std::fmt::Write as _;
 
 /// Escape a string for embedding in a JSON string literal.
@@ -78,35 +77,26 @@ impl TraceLog {
             self.workers
         ));
 
-        // Pair task-start/end into complete ("X") spans per task id.
-        let mut open: HashMap<u64, &TraceEvent> = HashMap::new();
+        // Task bodies as complete ("X") spans on the worker that ran them.
+        for t in self.task_spans() {
+            rows.push(format!(
+                r#"{{"name":"{}","cat":"task","ph":"X","ts":{},"dur":{},"pid":1,"tid":{},"args":{{"id":{},"version":{},"tag":{},"discarded":{}}}}}"#,
+                json_escape(t.name),
+                t.start,
+                t.busy_us(),
+                t.worker,
+                t.id,
+                opt_version(t.version),
+                t.tag,
+                t.discarded()
+            ));
+        }
 
         for e in &self.events {
             let ts = e.ts(tb);
             let tid = e.worker;
             match &e.kind {
-                EventKind::TaskStart { id, .. } => {
-                    open.insert(*id, e);
-                }
-                EventKind::TaskEnd {
-                    id,
-                    name,
-                    version,
-                    discarded,
-                } => {
-                    let start_ts = open.remove(id).map(|s| s.ts(tb)).unwrap_or(ts);
-                    let dur = ts.saturating_sub(start_ts);
-                    rows.push(format!(
-                        r#"{{"name":"{}","cat":"task","ph":"X","ts":{},"dur":{},"pid":1,"tid":{},"args":{{"id":{},"version":{},"discarded":{}}}}}"#,
-                        json_escape(name),
-                        start_ts,
-                        dur,
-                        tid,
-                        id,
-                        opt_version(*version),
-                        discarded
-                    ));
-                }
+                EventKind::TaskStart { .. } | EventKind::TaskEnd { .. } => {}
                 EventKind::Dispatch {
                     id,
                     name,
@@ -297,26 +287,18 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ClassTag, Timebase};
+    use crate::event::{ClassTag, TraceEvent};
+    use crate::testkit::{end, on, start};
 
+    /// `kind` as event `seq` on track `worker`, stamped `ts`.
     fn ev(seq: u64, worker: u32, ts: u64, kind: EventKind) -> TraceEvent {
-        TraceEvent {
-            seq,
-            worker,
-            wall_us: ts,
-            virt_us: ts,
-            kind,
-        }
+        on(worker, crate::testkit::ev(seq, ts, kind))
     }
 
     fn log(events: Vec<TraceEvent>) -> TraceLog {
         TraceLog {
-            workers: 2,
-            timebase: Timebase::Virtual,
-            events,
-            dropped: 0,
-            dropped_per_worker: vec![0, 0, 0],
             label: "balanced".into(),
+            ..crate::testkit::log(2, events)
         }
     }
 
@@ -329,32 +311,10 @@ mod tests {
 
     #[test]
     fn task_spans_pair_start_and_end() {
-        let l = log(vec![
-            ev(
-                0,
-                0,
-                10,
-                EventKind::TaskStart {
-                    id: 1,
-                    name: "encode",
-                    version: Some(2),
-                },
-            ),
-            ev(
-                1,
-                0,
-                35,
-                EventKind::TaskEnd {
-                    id: 1,
-                    name: "encode",
-                    version: Some(2),
-                    discarded: true,
-                },
-            ),
-        ]);
+        let l = log(vec![start(0, 10, 1, Some(2)), end(1, 35, 1, Some(2), true)]);
         let j = l.to_perfetto_json();
-        assert!(j.contains(r#""name":"encode","cat":"task","ph":"X","ts":10,"dur":25"#));
-        assert!(j.contains(r#""discarded":true"#));
+        assert!(j.contains(r#""name":"t","cat":"task","ph":"X","ts":10,"dur":25"#));
+        assert!(j.contains(r#""tag":10,"discarded":true"#));
         assert!(j.contains(r#""name":"worker 0""#));
         assert!(j.contains(r#""name":"runtime""#));
         assert!(j.contains("tvs (balanced)"));

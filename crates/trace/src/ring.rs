@@ -149,6 +149,18 @@ impl Tracer {
         }
     }
 
+    /// [`Tracer::emit_control`] stamped at the wall-clock instant `at`
+    /// rather than now: the threaded router decides a task's completion
+    /// outcome after the fact and stamps its task-end at the body's end.
+    #[inline]
+    pub fn emit_control_at(&self, at: Instant, kind: EventKind) {
+        if let Some(b) = &self.inner {
+            let virt = b.virt_now.load(Ordering::Relaxed);
+            let wall = at.saturating_duration_since(b.start).as_micros() as u64;
+            b.push_stamped(b.rings.len() - 1, wall, virt, kind);
+        }
+    }
+
     /// Per-ring drop counts so far: `workers + 1` entries, the last being
     /// the control ring. Empty for a disabled tracer.
     pub fn dropped_per_ring(&self) -> Vec<u64> {
@@ -210,12 +222,17 @@ impl Tracer {
 
 impl Buffers {
     fn push(&self, worker: usize, virt_us: u64, kind: EventKind) {
+        let wall_us = self.start.elapsed().as_micros() as u64;
+        self.push_stamped(worker, wall_us, virt_us, kind);
+    }
+
+    fn push_stamped(&self, worker: usize, wall_us: u64, virt_us: u64, kind: EventKind) {
         let worker = worker.min(self.rings.len() - 1);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let ev = TraceEvent {
             seq,
             worker: worker as u32,
-            wall_us: self.start.elapsed().as_micros() as u64,
+            wall_us,
             virt_us,
             kind,
         };
@@ -306,6 +323,19 @@ mod tests {
         t.emit(0, EventKind::Park);
         let log = t.drain().unwrap();
         assert_eq!(log.timebase, Timebase::Wall);
+    }
+
+    #[test]
+    fn control_events_can_be_stamped_in_the_past() {
+        let t = Tracer::enabled(1);
+        let at = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        t.emit(0, EventKind::Park);
+        t.emit_control_at(at, EventKind::Unpark);
+        let log = t.drain().unwrap();
+        assert_eq!(log.events[0].kind, EventKind::Unpark, "sorted by wall ts");
+        assert_eq!(log.events[0].worker, 1, "lands on the control ring");
+        assert!(log.events[1].wall_us >= log.events[0].wall_us + 2_000);
     }
 
     #[test]

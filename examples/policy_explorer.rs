@@ -9,14 +9,17 @@
 //!
 //! With no arguments it sweeps policies for all three files on x86+disk.
 //! Set `TVS_TRACE=1` to append a per-task-kind time breakdown and worker
-//! utilisation for each configuration (from the simulator's task trace).
+//! utilisation for each configuration (from the task spans of the run's
+//! event log); `TVS_TRACE_CSV=<dir>` also writes each event log there as
+//! CSV.
 
+use std::collections::BTreeMap;
 use tvs_core::{SpeculationSchedule, Tolerance, VerificationPolicy};
 use tvs_iosim::{ArrivalModel, Disk, Socket};
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{run_huffman, RunSpec};
 use tvs_sre::exec::sim::SimConfig;
-use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform};
+use tvs_sre::{cell_be, x86_smp, DispatchPolicy, Platform, Tracer};
 use tvs_workloads::FileKind;
 
 fn parse_kind(s: &str) -> FileKind {
@@ -37,13 +40,16 @@ fn run_row(
 ) {
     let trace_mode = std::env::var_os("TVS_TRACE").is_some();
     let sim = SimConfig {
-        trace: trace_mode,
+        tracer: if trace_mode {
+            Tracer::enabled(platform.workers)
+        } else {
+            Tracer::disabled()
+        },
         ..SimConfig::new(platform.clone(), cfg.policy)
     };
-    let mut run =
-        run_huffman(data, cfg, &RunSpec::sim(sim, arrival)).expect("simulated run completes");
-    let trace = std::mem::take(&mut run.trace);
-    let out = run.into_outcome();
+    let out = run_huffman(data, cfg, &RunSpec::sim(sim.clone(), arrival))
+        .expect("simulated run completes")
+        .into_outcome();
     let stats = out.result.spec_stats.unwrap_or_default();
     println!(
         "{label:<46} {:>9.0} {:>9} {:>5} {:>6} {:>7} {:>9.3}",
@@ -54,24 +60,38 @@ fn run_row(
         out.metrics.wasted_us / 1000,
         out.result.compression_ratio(),
     );
-    if trace_mode {
+    if let Some(log) = sim.tracer.drain() {
+        assert_eq!(log.dropped, 0, "{label}: the event rings overflowed");
         if let Some(dir) = std::env::var_os("TVS_TRACE_CSV") {
             let path =
                 std::path::Path::new(&dir).join(format!("{}.csv", label.replace([' ', '/'], "_")));
             std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
-            std::fs::write(&path, tvs_sre::metrics::trace_to_csv(&trace)).expect("write trace");
+            std::fs::write(&path, log.to_event_csv()).expect("write trace");
             println!("    trace -> {}", path.display());
         }
-        for (kind, count, busy, discarded) in tvs_sre::metrics::kind_breakdown(&trace) {
-            println!(
-                "    {kind:<12} {count:>5} tasks {:>8} us busy ({discarded} discarded)",
-                busy
-            );
+        let spans = log.task_spans();
+        // Where the time went: (tasks, busy µs, discarded) per kind,
+        // busiest first.
+        let mut kinds: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+        for t in &spans {
+            let k = kinds.entry(t.name).or_default();
+            k.0 += 1;
+            k.1 += t.busy_us();
+            k.2 += u64::from(t.discarded());
         }
-        let util =
-            tvs_sre::metrics::worker_utilization(&trace, platform.workers, out.metrics.makespan);
-        let mean = util.iter().sum::<f64>() / util.len().max(1) as f64;
-        println!("    worker utilisation: mean {:.0}%", mean * 100.0);
+        let mut kinds: Vec<_> = kinds.into_iter().collect();
+        kinds.sort_by_key(|(_, (_, busy, _))| std::cmp::Reverse(*busy));
+        for (kind, (count, busy, discarded)) in kinds {
+            println!("    {kind:<12} {count:>5} tasks {busy:>8} us busy ({discarded} discarded)");
+        }
+        // Busy time within [0, makespan] over every worker's makespan.
+        let makespan = out.metrics.makespan;
+        let busy: u64 = spans
+            .iter()
+            .map(|t| t.busy_us().min(makespan.saturating_sub(t.start)))
+            .sum();
+        let mean = busy as f64 / (makespan.max(1) * platform.workers as u64) as f64;
+        println!("    worker utilisation: mean {:.0}%", mean.min(1.0) * 100.0);
     }
 }
 

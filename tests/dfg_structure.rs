@@ -8,7 +8,8 @@ use tvs_iosim::Uniform;
 use tvs_pipelines::config::HuffmanConfig;
 use tvs_pipelines::runner::{run_huffman, RunOutcome, RunSpec};
 use tvs_sre::exec::sim::SimConfig;
-use tvs_sre::{x86_smp, DispatchPolicy, TaskTrace};
+use tvs_sre::{x86_smp, DispatchPolicy, Tracer};
+use tvs_trace::TaskSpan;
 
 /// Stationary text with a realistically rich alphabet (rare symbols are
 /// genuinely rare, so covering-tree overhead stays far below 1 %).
@@ -18,23 +19,26 @@ fn stationary(n: usize) -> Vec<u8> {
     (0..n).map(|i| pattern[i % pattern.len()]).collect()
 }
 
-/// A simulated run on 8 workers, one block every µs, with the per-task
-/// trace recorded.
-fn traced_run(data: &[u8], c: &HuffmanConfig) -> (RunOutcome, Vec<TaskTrace>) {
+/// A simulated run on 8 workers, one block every µs, with the task spans
+/// of its event log.
+fn traced_run(data: &[u8], c: &HuffmanConfig) -> (RunOutcome, Vec<TaskSpan>) {
     let sim = SimConfig {
-        trace: true,
+        tracer: Tracer::enabled(8),
         ..SimConfig::new(x86_smp(8), c.policy)
     };
     let arrival = Uniform {
         gap_us: 1,
         start_us: 0,
     };
-    let mut run = run_huffman(data, c, &RunSpec::sim(sim, &arrival)).expect("run completes");
-    let trace = std::mem::take(&mut run.trace);
-    (run.into_outcome(), trace)
+    let out = run_huffman(data, c, &RunSpec::sim(sim.clone(), &arrival))
+        .expect("run completes")
+        .into_outcome();
+    let log = sim.tracer.drain().expect("enabled tracer drains");
+    assert_eq!(log.dropped, 0, "the event rings must hold the whole run");
+    (out, log.task_spans())
 }
 
-fn count_kind(trace: &[TaskTrace], name: &str) -> usize {
+fn count_kind(trace: &[TaskSpan], name: &str) -> usize {
     trace.iter().filter(|t| t.name == name).count()
 }
 
@@ -158,7 +162,7 @@ fn rollback_dfg_discards_and_reissues() {
     data.extend((0..32 * 1024u32).map(|i| 128 + (i % 100) as u8));
     let (out, trace) = traced_run(&data, &cfg(DispatchPolicy::Balanced));
     assert!(out.metrics.rollbacks > 0);
-    let discarded = trace.iter().filter(|t| t.discarded).count();
+    let discarded = trace.iter().filter(|t| t.discarded()).count();
     let deleted = out.metrics.tasks_deleted_ready as usize;
     assert!(
         discarded + deleted > 0,
@@ -168,7 +172,7 @@ fn rollback_dfg_discards_and_reissues() {
     let good_encodes: Vec<u64> = trace
         .iter()
         .filter(|t| {
-            t.name == "encode" && !t.discarded && {
+            t.name == "encode" && !t.discarded() && {
                 match out.result.committed_version {
                     Some(v) => t.version == Some(v),
                     None => t.version.is_none(),

@@ -17,7 +17,7 @@ use tvs_sre::{
     x86_smp, DispatchPolicy, FaultInjector, FaultKind, FaultPlan, FaultSite, MetricsHub, TraceLog,
     Tracer, WatchdogConfig,
 };
-use tvs_trace::EventKind;
+use tvs_trace::{EventKind, SpanOutcome, Timebase};
 use tvs_workloads::FileKind;
 
 /// Text then PDF: the symbol-distribution shift makes step-0 predictions
@@ -184,13 +184,22 @@ fn assert_lifecycle(r: &Recorded) {
 }
 
 /// The registry against its independent, event-derived cross-check
-/// (`SpecHealth` and raw event counts), one pair per shared count.
-/// Predictions count every speculation started: a predictor fire, or a
-/// failed check's candidate promoted to a child version (a lineage opened
-/// below depth 0).
+/// (`SpecHealth`, task spans and raw event counts), one pair per shared
+/// count. Predictions count every speculation started: a predictor fire,
+/// or a failed check's candidate promoted to a child version (a lineage
+/// opened below depth 0). Busy and wasted µs pair exactly only on the
+/// simulator, whose spans are the virtual intervals it charges; the
+/// threaded executors stamp spans and charge the registry from separate
+/// clock reads.
 fn assert_counts_match_events(r: &Recorded) {
     let (log, hub) = (&r.log, &r.hub);
     let h = log.health();
+    let spans = log.task_spans();
+    assert!(
+        spans.iter().all(|s| (s.worker as usize) < log.workers),
+        "every span sits on the track of the worker that ran it"
+    );
+    let ended = |o: SpanOutcome| spans.iter().filter(|s| s.outcome == o).count() as u64;
     let mut promoted = 0u64;
     let mut undo_entries = 0u64;
     for e in &log.events {
@@ -201,11 +210,21 @@ fn assert_counts_match_events(r: &Recorded) {
         }
     }
     let n = |c| hub.counter_total(c);
-    let pairs = [
+    let mut pairs = vec![
         (
             "executed tasks vs task-end",
             n(Counter::TasksDelivered) + n(Counter::TasksDiscarded),
             log.count("task-end") as u64,
+        ),
+        (
+            "tasks delivered",
+            n(Counter::TasksDelivered),
+            ended(SpanOutcome::Delivered),
+        ),
+        (
+            "tasks discarded",
+            n(Counter::TasksDiscarded),
+            ended(SpanOutcome::Discarded),
         ),
         (
             "predictions vs predictor fires + promotions",
@@ -246,6 +265,10 @@ fn assert_counts_match_events(r: &Recorded) {
             h.worker_respawns,
         ),
     ];
+    if log.timebase == Timebase::Virtual {
+        pairs.push(("busy µs", n(Counter::BusyUs), h.busy_us));
+        pairs.push(("wasted µs", n(Counter::WastedUs), h.wasted_us));
+    }
     for (what, registry, events) in pairs {
         assert_eq!(registry, events, "{what}: registry vs event log");
     }

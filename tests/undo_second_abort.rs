@@ -188,9 +188,9 @@ fn assert_cascade_invariants(w: &TwoVersionCascade) {
 #[test]
 fn sim_second_abort_mid_cascade() {
     let cfg = SimConfig::new(tvs_sre::x86_smp(4), DispatchPolicy::Aggressive);
-    let report =
+    let (wl, _) =
         sim_run(TwoVersionCascade::new(), &cfg, &FixedCost(10), Vec::new()).expect("run completes");
-    assert_cascade_invariants(&report.workload);
+    assert_cascade_invariants(&wl);
 }
 
 #[test]
